@@ -167,19 +167,18 @@ class MeasureLedger {
   Samples seconds_;  // guarded by mu_
 };
 
-// Registry snapshot pair for one pass: counters and histogram buckets are
-// diffed, so earlier passes and set-up never leak into a pass's numbers.
-class RegistryDiff {
+// Snapshot pair of one registry histogram: the buckets are diffed, so
+// earlier passes and set-up never leak into a pass's numbers.
+class HistogramDiff {
  public:
-  RegistryDiff();  // snapshot now
-  uint64_t Counter(const std::string& name) const;
+  explicit HistogramDiff(std::string name);  // snapshot now
   // Nearest-rank percentile of the samples recorded since the snapshot
   // (bucket upper bound, as obs::Histogram reports it); also the count.
-  double HistogramPercentile(const std::string& name, double q, size_t* count) const;
+  double Percentile(double q, size_t* count) const;
 
  private:
-  std::map<std::string, uint64_t> counters_;
-  std::map<std::string, unicorn::obs::Histogram::Snapshot> histograms_;
+  std::string name_;
+  unicorn::obs::Histogram::Snapshot before_;
 };
 
 // Sums of the public stats structs over every campaign runner of a pass.
@@ -270,8 +269,9 @@ class Workload {
   virtual const char* name() const = 0;
   // What one operation is, for the report ("campaign", "refresh", "round").
   virtual const char* op_name() const = 0;
-  // Builds the inputs from the seed. Called several times; the last call's
-  // inputs are the ones the passes use.
+  // Builds the inputs from the seed, the same ones on every call. Called
+  // several times before the passes and again after the output check, to
+  // time set-up at both ends of the run.
   virtual void Setup(uint64_t seed, const std::string& workdir) = 0;
   // Runs campaigns until `seconds` of wall have passed or, with `replay`,
   // exactly the listed campaigns. `detailed` turns on the estimator split,

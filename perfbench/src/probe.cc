@@ -1,9 +1,10 @@
 // Outside-in instrumentation: sample sets, the CampaignPolicy decorator, the
-// measure wrapper, registry diffs, and the stats-struct accumulation.
+// measure wrapper, the registry histogram diff, and the stats-struct accumulation.
 #include <time.h>
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "obs/trace.h"
 #include "perfbench.h"
@@ -170,42 +171,19 @@ Samples MeasureLedger::Take() {
   return out;
 }
 
-namespace {
+HistogramDiff::HistogramDiff(std::string name)
+    : name_(std::move(name)),
+      before_(unicorn::obs::MetricsRegistry::Global().Histogram(name_)->TakeSnapshot()) {}
 
-// The registry has no enumeration API, so the diff watches a fixed list:
-// the instruments the per-layer report reads.
-const char* const kCounters[] = {"campaign.rounds"};
-const char* const kHistograms[] = {"fleet.queue_wait_seconds"};
-
-}  // namespace
-
-RegistryDiff::RegistryDiff() {
-  auto& registry = unicorn::obs::MetricsRegistry::Global();
-  for (const char* name : kCounters) {
-    counters_[name] = registry.Counter(name)->Value();
-  }
-  for (const char* name : kHistograms) {
-    histograms_[name] = registry.Histogram(name)->TakeSnapshot();
-  }
-}
-
-uint64_t RegistryDiff::Counter(const std::string& name) const {
-  const auto it = counters_.find(name);
-  const uint64_t before = it == counters_.end() ? 0 : it->second;
-  return unicorn::obs::MetricsRegistry::Global().Counter(name)->Value() - before;
-}
-
-double RegistryDiff::HistogramPercentile(const std::string& name, double q,
-                                         size_t* count) const {
+double HistogramDiff::Percentile(double q, size_t* count) const {
   unicorn::obs::Histogram::Snapshot now =
-      unicorn::obs::MetricsRegistry::Global().Histogram(name)->TakeSnapshot();
-  const auto it = histograms_.find(name);
-  if (it != histograms_.end() && it->second.counts.size() == now.counts.size()) {
+      unicorn::obs::MetricsRegistry::Global().Histogram(name_)->TakeSnapshot();
+  if (before_.counts.size() == now.counts.size()) {
     for (size_t i = 0; i < now.counts.size(); ++i) {
-      now.counts[i] -= it->second.counts[i];
+      now.counts[i] -= before_.counts[i];
     }
-    now.count -= it->second.count;
-    now.sum -= it->second.sum;
+    now.count -= before_.count;
+    now.sum -= before_.sum;
   }
   *count = static_cast<size_t>(now.count);
   return now.Percentile(q);

@@ -575,18 +575,23 @@ class FleetTenants : public Workload {
     // plain pool broker produces for the same policy, capped at the rounds
     // the tenant absorbed (an aborted or truncated tenant holds a prefix of
     // its full campaign, and the cap makes the oracle stop at that prefix).
-    // The oracle costs about as much as the campaign, so it covers
-    // campaigns in run order until its time budget is spent — at least one.
+    // The oracle costs about as much as the campaign, so it covers as many
+    // campaigns as its time budget allows (at least one), picked coarse to
+    // fine over the whole run — the first, the last, the middle, the
+    // quarters, ... — so early, late and aborted campaigns are all sampled.
     CheckResult check;
     const auto start = Clock::now();
-    for (const Record& record : records_) {
-      if (check.checked > 0 && SecondsSince(start) > kCheckBudgetSeconds) {
+    size_t campaigns = 0;
+    for (const size_t r : CoarseToFine(records_.size())) {
+      if (campaigns > 0 && SecondsSince(start) > kCheckBudgetSeconds) {
         break;
       }
+      const Record& record = records_[r];
       std::vector<uint64_t> oracle;
       PassResult scratch;
       Campaign(record.campaign, &record.caps, /*oracle=*/true, false, &scratch, nullptr,
                &oracle);
+      ++campaigns;
       for (size_t t = 0; t < record.fingerprints.size(); ++t) {
         ++check.checked;
         if (oracle[t] != record.fingerprints[t]) {
@@ -594,6 +599,8 @@ class FleetTenants : public Workload {
         }
       }
     }
+    check.extra.push_back({"checked_campaigns", static_cast<double>(campaigns), "count", "",
+                           records_.size()});
     return check;
   }
 
@@ -721,6 +728,30 @@ class FleetTenants : public Workload {
       }
     }
     return aborted;
+  }
+
+  // 0, n-1, then every index of a grid that halves each step: any prefix
+  // of the order is spread over [0, n).
+  static std::vector<size_t> CoarseToFine(size_t n) {
+    std::vector<size_t> order;
+    std::vector<bool> taken(n, false);
+    const auto take = [&](size_t i) {
+      if (i < n && !taken[i]) {
+        taken[i] = true;
+        order.push_back(i);
+      }
+    };
+    take(0);
+    take(n - 1);
+    for (size_t step = std::max<size_t>(1, n / 2);; step = std::max<size_t>(1, step / 2)) {
+      for (size_t i = 0; i < n; i += step) {
+        take(i);
+      }
+      if (step == 1) {
+        break;
+      }
+    }
+    return order;
   }
 
   uint64_t seed_ = 0;
