@@ -22,41 +22,60 @@ bool SepsetMap::Contains(size_t a, size_t b, size_t v) const {
   return s != nullptr && std::binary_search(s->begin(), s->end(), v);
 }
 
+namespace {
+
+// Writes up to `max_subsets` size-k subsets of `pool` (lexicographic) into
+// *out, reusing the storage of its elements.
+template <typename T>
+void SubsetsInto(const std::vector<size_t>& pool, size_t k, size_t max_subsets,
+                 std::vector<std::vector<T>>* out) {
+  size_t count = 0;
+  // Element storage is reused; only a shorter result frees the surplus.
+  const auto emit = [&]() -> std::vector<T>& {
+    if (out->size() == count) {
+      out->emplace_back();
+    }
+    std::vector<T>& subset = (*out)[count++];
+    subset.resize(k);
+    return subset;
+  };
+  if (k == 0) {
+    emit();
+  } else if (k <= pool.size()) {
+    thread_local std::vector<size_t> idx;
+    idx.resize(k);
+    for (size_t i = 0; i < k; ++i) {
+      idx[i] = i;
+    }
+    bool more = true;
+    while (more && count < max_subsets) {
+      std::vector<T>& subset = emit();
+      for (size_t i = 0; i < k; ++i) {
+        subset[i] = static_cast<T>(pool[idx[i]]);
+      }
+      // Advance lexicographically; stop after the last subset.
+      more = false;
+      for (size_t i = k; i-- > 0;) {
+        if (idx[i] != i + pool.size() - k) {
+          ++idx[i];
+          for (size_t j = i + 1; j < k; ++j) {
+            idx[j] = idx[j - 1] + 1;
+          }
+          more = true;
+          break;
+        }
+      }
+    }
+  }
+  out->resize(count);
+}
+
+}  // namespace
+
 std::vector<std::vector<size_t>> Subsets(const std::vector<size_t>& pool, size_t k,
                                          size_t max_subsets) {
   std::vector<std::vector<size_t>> out;
-  if (k > pool.size()) {
-    return out;
-  }
-  if (k == 0) {
-    out.push_back({});
-    return out;
-  }
-  std::vector<size_t> idx(k);
-  for (size_t i = 0; i < k; ++i) {
-    idx[i] = i;
-  }
-  while (out.size() < max_subsets) {
-    std::vector<size_t> subset(k);
-    for (size_t i = 0; i < k; ++i) {
-      subset[i] = pool[idx[i]];
-    }
-    out.push_back(std::move(subset));
-    // Advance lexicographically.
-    size_t i = k;
-    while (i-- > 0) {
-      if (idx[i] != i + pool.size() - k) {
-        ++idx[i];
-        for (size_t j = i + 1; j < k; ++j) {
-          idx[j] = idx[j - 1] + 1;
-        }
-        break;
-      }
-      if (i == 0) {
-        return out;
-      }
-    }
-  }
+  SubsetsInto(pool, k, max_subsets, &out);
   return out;
 }
 
@@ -84,7 +103,6 @@ PairOutcome ExaminePair(const CITest& test, const StructuralConstraints& constra
   for (int side = 0; side < 2; ++side) {
     const size_t from = side == 0 ? x : y;
     const size_t other = side == 0 ? y : x;
-    std::vector<std::vector<size_t>> subsets;
     if (d == 0) {
       // The only size-0 conditioning set is {} regardless of the pool, so the
       // pool is not built; the request below is identical to the general path.
@@ -116,11 +134,7 @@ PairOutcome ExaminePair(const CITest& test, const StructuralConstraints& constra
         continue;
       }
       out.tested = true;
-      subsets = Subsets(pool, static_cast<size_t>(d), options.max_subsets);
-      sets.resize(subsets.size());
-      for (size_t i = 0; i < subsets.size(); ++i) {
-        sets[i].assign(subsets[i].begin(), subsets[i].end());
-      }
+      SubsetsInto(pool, static_cast<size_t>(d), options.max_subsets, &sets);
     }
     // Submit the whole level for this side as one batched request: the test
     // examines the sets in subset order with the serial early exit, but can
@@ -133,9 +147,8 @@ PairOutcome ExaminePair(const CITest& test, const StructuralConstraints& constra
     const int idx = test.FirstIndependent(request);
     if (idx >= 0) {
       out.removed = true;
-      if (d > 0) {
-        out.sepset = std::move(subsets[static_cast<size_t>(idx)]);
-      }
+      const std::vector<int>& sepset = sets[static_cast<size_t>(idx)];
+      out.sepset.assign(sepset.begin(), sepset.end());
       return out;
     }
   }

@@ -114,6 +114,7 @@ CICache::ReadSlot* CICache::EnsureReadTable() {
   table = read_table_.load(std::memory_order_relaxed);
   if (table == nullptr) {
     read_table_storage_.reset(new ReadSlot[kReadSlots]);
+    filled_slots_.reset(new uint32_t[kReadSlots]);
     table = read_table_storage_.get();
     read_table_.store(table, std::memory_order_release);
   }
@@ -177,7 +178,8 @@ void CICache::InsertReadTable(const Key& key, double p_value, uint32_t shard) {
     slot.seq.store(claimed_seq + 1, std::memory_order_release);  // back to even
   };
   for (size_t probe = 0; probe < kReadProbes; ++probe) {
-    ReadSlot& slot = table[(h + probe) & mask];
+    const size_t index = (h + probe) & mask;
+    ReadSlot& slot = table[index];
     uint32_t s = slot.seq.load(std::memory_order_acquire);
     if ((s & 1u) != 0) {
       continue;  // another writer owns it right now
@@ -186,6 +188,8 @@ void CICache::InsertReadTable(const Key& key, double p_value, uint32_t shard) {
       // Claim the empty slot. Losing the race just means someone else filled
       // it; re-examine it as an occupied slot.
       if (slot.seq.compare_exchange_strong(s, 1u, std::memory_order_acq_rel)) {
+        filled_slots_[num_filled_.fetch_add(1, std::memory_order_relaxed)] =
+            static_cast<uint32_t>(index);
         fill(slot, 1u);
         return;
       }
@@ -329,12 +333,15 @@ void CICache::Clear() {
     stripe.map.clear();
   }
   // Quiescence is the caller's contract (see header): with no concurrent
-  // readers or writers, resetting every slot to its empty state is safe.
+  // readers or writers, resetting slots to their empty state is safe. Only
+  // the slots filled since the last Clear can be non-empty.
   ReadSlot* table = read_table_.load(std::memory_order_acquire);
   if (table != nullptr) {
-    for (size_t i = 0; i < kReadSlots; ++i) {
-      table[i].seq.store(0, std::memory_order_relaxed);
+    const uint32_t filled = num_filled_.load(std::memory_order_relaxed);
+    for (uint32_t i = 0; i < filled; ++i) {
+      table[filled_slots_[i]].seq.store(0, std::memory_order_relaxed);
     }
+    num_filled_.store(0, std::memory_order_relaxed);
     std::atomic_thread_fence(std::memory_order_release);
   }
 }

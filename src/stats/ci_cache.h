@@ -160,11 +160,13 @@ class CICache {
   // Hits on entries another shard paid for — the shared-cache dividend.
   long long cross_shard_hits() const { return SumCells(cross_cells_); }
   size_t size() const;
-  // Drops every entry (striped maps and the read table). Requires external
-  // quiescence: no concurrent lookups or stores (the engine clears its
-  // private cache only between sweeps; the shared cache is never cleared
-  // mid-flight). The read-table seqlocks restart from their empty state, so
-  // a racing reader could otherwise see a torn refill as stable.
+  // Drops every entry (striped maps and the read table; only the read slots
+  // filled since the last Clear are reset, so clearing after a small
+  // refresh is cheap). Requires external quiescence: no concurrent lookups
+  // or stores (the engine clears its private cache only between sweeps; the
+  // shared cache is never cleared mid-flight). The read-table seqlocks
+  // restart from their empty state, so a racing reader could otherwise see
+  // a torn refill as stable.
   void Clear();
   void ResetCounters();
 
@@ -236,6 +238,11 @@ class CICache {
   std::array<Stripe, kStripes> stripes_;
   mutable std::atomic<ReadSlot*> read_table_{nullptr};
   std::unique_ptr<ReadSlot[]> read_table_storage_;
+  // Indices of the read-table slots filled since the last Clear, so Clear
+  // resets only those. A slot leaves the empty state at most once between
+  // two Clears (by the claiming CAS), so the list never outgrows the table.
+  std::unique_ptr<uint32_t[]> filled_slots_;
+  std::atomic<uint32_t> num_filled_{0};
   std::mutex read_init_mu_;
   mutable CounterCells hit_cells_;
   mutable CounterCells lookup_cells_;

@@ -27,7 +27,8 @@ struct CodedColumn {
 // would renumber the whole column, and quantile bins shift with the data.
 struct ColumnCoding {
   bool direct = false;
-  std::map<double, int> levels;  // value -> code; populated when direct
+  // Sorted distinct values when direct; a value's code is its index.
+  std::vector<double> levels;
 };
 
 // Discretizes one column. Continuous columns are split into at most
@@ -36,15 +37,45 @@ struct ColumnCoding {
 CodedColumn DiscretizeColumn(const std::vector<double>& col, VarType type, int max_bins,
                              ColumnCoding* coding = nullptr);
 
-// Combines several coded columns into one stratum id per row (mixed-radix
-// key, then dense renumbering). All callers that stratify — CodedTable and
-// the G-square test's memoized strata — share this one implementation so the
-// codes stay bit-identical. Every column must have at least `num_rows` codes.
-// When `dense_out` is non-null it receives the radix-key -> dense-id map
-// (ids assigned by first appearance in row order), which lets incremental
-// consumers append rows with stable stratum ids.
+// Dense stratum ids for rows of several coded columns, assigned by first
+// appearance of each combination of member codes (in row order). While the
+// mixed-radix space over the member cardinalities has at most kMaxFlatStrata
+// cells, the index is a flat table keyed by the combination's radix number,
+// so interning a row allocates nothing; above it, an exact map over the code
+// tuples (which also covers spaces no 64-bit radix key could address). Both
+// assign the same ids, so the choice is invisible to callers.
+class StratumIndex {
+ public:
+  // 16 KB of ids, small enough to stay in L1 and to clear on every Reset.
+  static constexpr long long kMaxFlatStrata = 4096;
+
+  // Binds the index to member columns (their cardinalities fix the radix
+  // space) and forgets every id.
+  void Reset(const std::vector<const CodedColumn*>& cols);
+  // Writes the ids of rows [begin, end) of `cols` (the columns Reset was
+  // given, possibly grown since) to ids[0, end - begin), assigning the next
+  // id to each combination on its first appearance, in row order.
+  void InternRows(const std::vector<const CodedColumn*>& cols, size_t begin, size_t end,
+                  int* ids);
+  // Number of ids assigned so far.
+  int size() const { return next_id_; }
+
+ private:
+  bool flat_mode_ = true;
+  int next_id_ = 0;
+  std::vector<int> flat_;                   // radix key -> id, -1 = unseen
+  std::map<std::vector<int>, int> tuples_;  // code tuple -> id
+};
+
+// Combines several coded columns into one stratum id per row (dense ids by
+// first appearance, see StratumIndex). All callers that stratify —
+// CodedTable and the G-square test's memoized strata — share this one
+// implementation so the codes stay bit-identical. Every column must have at
+// least `num_rows` codes. When `index_out` is non-null it receives the index
+// the ids were assigned from, which lets incremental consumers append rows
+// with stable stratum ids.
 CodedColumn CombineStrata(const std::vector<const CodedColumn*>& cols, size_t num_rows,
-                          std::map<long long, int>* dense_out = nullptr);
+                          StratumIndex* index_out = nullptr);
 
 // Discretized view of a whole table.
 class CodedTable {

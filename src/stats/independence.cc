@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "stats/ci_cache.h"
 #include "stats/correlation.h"
 #include "stats/entropy.h"
 #include "stats/linalg.h"
@@ -22,6 +23,23 @@ constexpr int kMaxPackedCode = 0xFFFF;
 // path, which allocates per call but never materializes the full cube
 // marginals at once.
 constexpr size_t kMaxFusedCells = size_t{1} << 20;
+
+// Smallest published strata table (slots; a power of two).
+constexpr size_t kMinStrataSlots = 64;
+
+// Hash of a sorted conditioning set: FNV-1a over the members, then a
+// finalizer so the low bits the table masks with depend on every bit.
+size_t HashSet(const std::vector<int>& key) {
+  uint64_t h = 1469598103934665603ULL;
+  for (int v : key) {
+    h ^= static_cast<uint32_t>(v);
+    h *= 1099511628211ULL;
+  }
+  h ^= h >> 32;
+  h *= 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 29;
+  return static_cast<size_t>(h);
+}
 
 std::vector<uint16_t> PackCodes(const CodedColumn& col) {
   if (col.cardinality > kMaxPackedCode) {
@@ -107,7 +125,6 @@ void CITest::AppendPendingOverlay(const CISpeculation& spec, const BatchedCIRequ
 FisherZTest::FisherZTest(const DataTable& table, ThreadPool* pool) { Update(table, pool); }
 
 void FisherZTest::Update(const DataTable& table, ThreadPool* pool) {
-  std::lock_guard<std::mutex> lock(mu_);
   n_ = table.NumRows();
   num_vars_ = table.NumVars();
   stride_ = simd::PaddedStride(n_);
@@ -149,23 +166,24 @@ void FisherZTest::Update(const DataTable& table, ThreadPool* pool) {
       rank_column(v);
     }
   }
-  corr_.assign(num_vars_ * num_vars_, std::numeric_limits<double>::quiet_NaN());
+  if (corr_.size() != num_vars_ * num_vars_) {
+    corr_ = std::vector<std::atomic<double>>(num_vars_ * num_vars_);
+  }
+  for (std::atomic<double>& slot : corr_) {
+    slot.store(std::numeric_limits<double>::quiet_NaN(), std::memory_order_relaxed);
+  }
 }
 
 double FisherZTest::Correlation(size_t a, size_t b) const {
   if (a == b) {
     return 1.0;
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const double memo = corr_[a * num_vars_ + b];
-    if (!std::isnan(memo)) {
-      return memo;
-    }
+  // Relaxed order suffices: the slot publishes only its own value, and a
+  // racing miss stores the same deterministic value (see the header).
+  const double memo = corr_[a * num_vars_ + b].load(std::memory_order_relaxed);
+  if (!std::isnan(memo)) {
+    return memo;
   }
-  // Compute outside the lock so parallel sweep workers do not serialize on
-  // the O(n) dot product; concurrent misses compute the same deterministic
-  // value and both stores are identical (same policy as the CI cache).
   double r = 0.0;
   if (n_ >= 2 && norm_[a] > 0.0 && norm_[b] > 0.0) {
     const double* ca = &centered_[a * stride_];
@@ -182,9 +200,8 @@ double FisherZTest::Correlation(size_t a, size_t b) const {
     r = dot / (norm_[a] * norm_[b]);
     r = std::max(-1.0, std::min(1.0, r));
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  corr_[a * num_vars_ + b] = r;
-  corr_[b * num_vars_ + a] = r;
+  corr_[a * num_vars_ + b].store(r, std::memory_order_relaxed);
+  corr_[b * num_vars_ + a].store(r, std::memory_order_relaxed);
   return r;
 }
 
@@ -196,21 +213,32 @@ double FisherZTest::PartialCorrelation(int x, int y, const std::vector<int>& s) 
   // solve Css * bx = Csx and Css * by = Csy, then
   // r = (Cxy - bx'Csy) / sqrt((1 - bx'Csx)(1 - by'Csy)).
   const size_t k = s.size();
-  std::vector<std::vector<double>> css(k, std::vector<double>(k));
-  std::vector<double> csx(k);
-  std::vector<double> csy(k);
+  // One buffer holds Css (k*k, row-major), Csx, Csy, bx and by: on the stack
+  // for every cacheable conditioning set, on the heap only beyond that.
+  constexpr size_t kStackK = CICache::kMaxConditioning;
+  double stack[kStackK * kStackK + 4 * kStackK];
+  std::vector<double> heap;
+  double* css = stack;
+  if (k > kStackK) {
+    heap.resize(k * k + 4 * k);
+    css = heap.data();
+  }
+  double* csx = css + k * k;
+  double* csy = csx + k;
+  double* bx = csy + k;
+  double* by = bx + k;
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = 0; j < k; ++j) {
-      css[i][j] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(s[j]));
+      css[i * k + j] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(s[j]));
     }
     // Tiny ridge keeps near-duplicate conditioning variables solvable.
-    css[i][i] += 1e-9;
+    css[i * k + i] += 1e-9;
     csx[i] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(x));
     csy[i] = Correlation(static_cast<size_t>(s[i]), static_cast<size_t>(y));
   }
-  std::vector<double> bx;
-  std::vector<double> by;
-  if (!SolveLinearSystem(css, csx, &bx) || !SolveLinearSystem(css, csy, &by)) {
+  std::copy(csx, csx + k, bx);
+  std::copy(csy, csy + k, by);
+  if (!SolveLinearSystemPair(k, css, bx, by)) {
     return 0.0;
   }
   double num = Correlation(static_cast<size_t>(x), static_cast<size_t>(y));
@@ -250,8 +278,77 @@ double FisherZTest::PValue(int x, int y, const std::vector<int>& s) const {
 
 // --- GSquareTest ------------------------------------------------------------
 
+GSquareTest::StrataTable::StrataTable(size_t capacity)
+    : mask(capacity - 1), slots(new std::atomic<const StrataMap::value_type*>[capacity]) {
+  for (size_t i = 0; i < capacity; ++i) {
+    slots[i].store(nullptr, std::memory_order_relaxed);
+  }
+}
+
+const GSquareTest::StrataMap::value_type* GSquareTest::StrataTable::Find(
+    const std::vector<int>& key, size_t hash) const {
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const StrataMap::value_type* entry = slots[i].load(std::memory_order_acquire);
+    if (entry == nullptr || entry->first == key) {
+      return entry;
+    }
+  }
+}
+
+void GSquareTest::StrataTable::Place(const StrataMap::value_type* entry) {
+  for (size_t i = HashSet(entry->first) & mask;; i = (i + 1) & mask) {
+    if (slots[i].load(std::memory_order_relaxed) == nullptr) {
+      slots[i].store(entry, std::memory_order_release);
+      ++used;
+      return;
+    }
+  }
+}
+
 GSquareTest::GSquareTest(const DataTable& table, int max_bins)
-    : table_(&table), max_bins_(max_bins), rows_(table.NumRows()), coded_(table.NumVars()) {}
+    : table_(&table), max_bins_(max_bins), rows_(table.NumRows()) {
+  ResetMemos(table.NumVars());
+}
+
+void GSquareTest::ResetMemos(size_t num_vars) {
+  coded_.clear();
+  coded_.resize(num_vars);
+  published_.reset(new std::atomic<const ColumnState*>[num_vars]);
+  for (size_t v = 0; v < num_vars; ++v) {
+    published_[v].store(nullptr, std::memory_order_relaxed);
+  }
+  strata_.clear();
+  RepublishStrata();
+}
+
+void GSquareTest::PublishStratum(const StrataMap::value_type* entry) const {
+  StrataTable* table = strata_tables_.empty() ? nullptr : strata_tables_.back().get();
+  if (table != nullptr && 2 * (table->used + 1) <= table->mask + 1) {
+    table->Place(entry);
+    return;
+  }
+  // Grow into a new table holding every entry, this one included. A reader
+  // still probing the old table can only miss, which sends it to the locked
+  // slow path; so the old table is retired, not freed.
+  size_t capacity = kMinStrataSlots;
+  while (2 * strata_.size() > capacity) {
+    capacity *= 2;
+  }
+  auto grown = std::make_unique<StrataTable>(capacity);
+  for (const StrataMap::value_type& e : strata_) {
+    grown->Place(&e);
+  }
+  strata_table_.store(grown.get(), std::memory_order_release);
+  strata_tables_.push_back(std::move(grown));
+}
+
+void GSquareTest::RepublishStrata() const {
+  strata_table_.store(nullptr, std::memory_order_release);
+  strata_tables_.clear();
+  if (!strata_.empty()) {
+    PublishStratum(&*strata_.begin());
+  }
+}
 
 GSquareTest::ColumnState GSquareTest::BuildColumnState(size_t v) const {
   const std::vector<double>& col = table_->Col(v);
@@ -272,11 +369,12 @@ bool GSquareTest::TryExtendColumn(size_t v, ColumnState* state, size_t old_rows)
     return false;  // quantile bins shift with the data; must recode
   }
   const std::vector<double>& col = table_->Col(v);
+  const std::vector<double>& levels = state->coding.levels;
   auto& codes = state->coded.codes;
   const bool pack = !state->packed.empty();
   for (size_t r = old_rows; r < rows_; ++r) {
-    const auto it = state->coding.levels.find(col[r]);
-    if (it == state->coding.levels.end()) {
+    const auto it = std::lower_bound(levels.begin(), levels.end(), col[r]);
+    if (it == levels.end() || *it != col[r]) {
       // New level: codes are assigned in sorted-value order, so the whole
       // column renumbers. Roll back and let the caller recode.
       codes.resize(old_rows);
@@ -285,9 +383,10 @@ bool GSquareTest::TryExtendColumn(size_t v, ColumnState* state, size_t old_rows)
       }
       return false;
     }
-    codes.push_back(it->second);
+    const int code = static_cast<int>(it - levels.begin());
+    codes.push_back(code);
     if (pack) {
-      state->packed.push_back(static_cast<uint16_t>(it->second));
+      state->packed.push_back(static_cast<uint16_t>(code));
     }
   }
   return true;
@@ -305,9 +404,7 @@ void GSquareTest::Update(const DataTable& table) {
   table_ = &table;
   rows_ = table.NumRows();
   if (!incremental) {
-    coded_.clear();
-    coded_.resize(table.NumVars());
-    strata_.clear();
+    ResetMemos(table.NumVars());
     ++epoch_counter_;  // conservatively invalidate any strata built later
     return;
   }
@@ -328,6 +425,7 @@ void GSquareTest::Update(const DataTable& table) {
   // Extend strata whose member columns kept their coding; drop the rest.
   // Dense stratum ids are assigned by first appearance in row order, which
   // appending preserves, so extended ids match a cold CombineStrata.
+  std::vector<const CodedColumn*> members;
   for (auto it = strata_.begin(); it != strata_.end();) {
     const std::vector<int>& key = it->first;
     StratumState& st = it->second;
@@ -350,36 +448,32 @@ void GSquareTest::Update(const DataTable& table) {
       ++it;
       continue;
     }
-    bool pack = !st.packed.empty();
-    for (size_t r = old_rows; r < rows_; ++r) {
-      long long radix = 0;
-      for (int v : key) {
-        const CodedColumn& member = coded_[static_cast<size_t>(v)]->coded;
-        radix = radix * std::max(1, member.cardinality) + member.codes[r];
-      }
-      const auto [dit, inserted] =
-          st.dense.emplace(radix, static_cast<int>(st.dense.size()));
-      st.coded.codes.push_back(dit->second);
-      if (pack) {
-        if (dit->second <= kMaxPackedCode) {
-          st.packed.push_back(static_cast<uint16_t>(dit->second));
-        } else {
-          pack = false;
-          st.packed.clear();
-        }
+    members.clear();
+    for (int v : key) {
+      members.push_back(&coded_[static_cast<size_t>(v)]->coded);
+    }
+    std::vector<int>& codes = st.coded.codes;
+    codes.resize(rows_);
+    st.dense.InternRows(members, old_rows, rows_, codes.data() + old_rows);
+    st.coded.cardinality = st.dense.size();
+    if (!st.packed.empty()) {
+      // Packed while every id fits 16 bits; ids grow by one at a time.
+      if (st.coded.cardinality - 1 <= kMaxPackedCode) {
+        st.packed.insert(st.packed.end(), codes.begin() + old_rows, codes.end());
+      } else {
+        st.packed.clear();
       }
     }
-    st.coded.cardinality = static_cast<int>(st.dense.size());
     ++it;
   }
+  // Drops the tables retired during the last sweep along with the erased
+  // strata.
+  RepublishStrata();
 }
 
 const GSquareTest::ColumnState& GSquareTest::Coded(size_t v) const {
-  {
-    std::lock_guard<std::mutex> lock(coded_mu_);
-    if (coded_[v] != nullptr) {
-      return *coded_[v];
-    }
+  if (const ColumnState* state = published_[v].load(std::memory_order_acquire)) {
+    return *state;
   }
   // Discretize outside the lock so sweep workers do not serialize on the
   // O(n log n) coding; concurrent misses produce identical columns and the
@@ -389,24 +483,27 @@ const GSquareTest::ColumnState& GSquareTest::Coded(size_t v) const {
   if (coded_[v] == nullptr) {
     fresh->epoch = ++epoch_counter_;
     coded_[v] = std::move(fresh);
+    published_[v].store(coded_[v].get(), std::memory_order_release);
   }
   return *coded_[v];
 }
 
 const GSquareTest::StratumState& GSquareTest::Strata(const std::vector<int>& s) const {
-  std::vector<int> key = s;
+  // The sorted key lives in reused per-thread scratch so a hit allocates
+  // nothing.
+  thread_local std::vector<int> key;
+  key.assign(s.begin(), s.end());
   std::sort(key.begin(), key.end());
-  {
-    std::lock_guard<std::mutex> lock(strata_mu_);
-    auto it = strata_.find(key);
-    if (it != strata_.end()) {
-      return it->second;
+  const size_t hash = HashSet(key);
+  if (const StrataTable* table = strata_table_.load(std::memory_order_acquire)) {
+    if (const StrataMap::value_type* entry = table->Find(key, hash)) {
+      return entry->second;
     }
   }
   // Materialize the member columns outside the strata lock (Coded takes its
-  // own lock), then combine their codes into dense stratum ids. Member
-  // epochs only move inside Update, never concurrently with a sweep, so
-  // capturing them here is race-free.
+  // own lock on a miss), then combine their codes into dense stratum ids.
+  // Member epochs only move inside Update, never concurrently with a sweep,
+  // so capturing them here is race-free.
   std::vector<const CodedColumn*> cols;
   StratumState fresh;
   cols.reserve(key.size());
@@ -421,7 +518,11 @@ const GSquareTest::StratumState& GSquareTest::Strata(const std::vector<int>& s) 
   std::lock_guard<std::mutex> lock(strata_mu_);
   // Another worker may have inserted the same key meanwhile; emplace keeps
   // the first copy and both are identical.
-  return strata_.emplace(std::move(key), std::move(fresh)).first->second;
+  const auto [it, inserted] = strata_.emplace(key, std::move(fresh));
+  if (inserted) {
+    PublishStratum(&*it);
+  }
+  return it->second;
 }
 
 double GSquareTest::PValueFrom(const ColumnState& sx, const ColumnState& sy,

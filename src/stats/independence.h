@@ -12,7 +12,30 @@
 // quantities (rank correlations, coded columns, conditioning strata) are
 // computed lazily per pair / per conditioning set and memoized, so a sparse
 // warm-started skeleton search touching few pairs pays only for those pairs.
-// All tests are safe to call concurrently from the parallel skeleton sweep.
+//
+// Concurrency contract. PValue, FirstIndependent, Correlation and
+// PartialCorrelation may be called concurrently from any number of sweep
+// threads; Update (and construction) requires quiescence — no call on the
+// same test may overlap it, and the caller orders it against the sweeps
+// (the engine's thread-pool hand-off does). Between Updates every memo is
+// insert-only and read without a lock:
+//   - FisherZTest's correlation memo is one atomic slot per ordered pair,
+//     NaN while empty. A miss computes the dot product and stores the value
+//     into both (a, b) and (b, a). Racing misses compute the same
+//     deterministic value, so whichever store lands last stores exactly what
+//     the other did — a racing fill is only duplicated work.
+//   - GSquareTest's coded columns and strata are built outside any lock, then
+//     inserted under a mutex (the first copy wins; racing builds are
+//     identical) and published through atomic pointers with release order.
+//     A hit is one acquire load plus, for strata, an open-addressed probe;
+//     it takes no mutex. A published object is never mutated or freed
+//     before the next Update, so references handed out during a sweep stay
+//     valid until then.
+// Once the memoized inputs of a test exist, evaluating it with a
+// conditioning set of at most CICache::kMaxConditioning variables performs
+// no heap allocation: Fisher z solves its partial-correlation systems on
+// fixed-size stack arrays, and the G test counts into reused thread-local
+// scratch.
 //
 // Kernel layers (see stats/simd.h): FisherZTest stores its centered
 // mid-ranks as one aligned SoA block and reduces with the blocked dot;
@@ -146,9 +169,10 @@ class FisherZTest : public CITest {
   explicit FisherZTest(const DataTable& table, ThreadPool* pool = nullptr);
 
   // Refreshes ranks after the table grew (or changed); drops the memo.
-  // When a pool is given the per-column ranking runs in parallel and each
-  // worker writes (first-touches) the SoA column block it ranks, placing
-  // pages near the thread that will stream them in the sweep.
+  // Requires quiescence (see the concurrency contract above). When a pool
+  // is given the per-column ranking runs in parallel and each worker writes
+  // (first-touches) the SoA column block it ranks, placing pages near the
+  // thread that will stream them in the sweep.
   void Update(const DataTable& table, ThreadPool* pool = nullptr);
 
   double PValue(int x, int y, const std::vector<int>& s) const override;
@@ -167,9 +191,9 @@ class FisherZTest : public CITest {
   // tail zero-padded; corr = dot / (norm*norm).
   simd::AlignedVector<double> centered_;
   std::vector<double> norm_;
-  // Flattened memo of pairwise correlations; NaN = not yet computed.
-  mutable std::vector<double> corr_;
-  mutable std::mutex mu_;
+  // Flattened memo of pairwise correlations, read and filled without a lock
+  // (see the concurrency contract above); NaN = not yet computed.
+  mutable std::vector<std::atomic<double>> corr_;
 };
 
 // G-test of conditional independence on the discretized table:
@@ -198,6 +222,7 @@ class GSquareTest : public CITest {
   explicit GSquareTest(const DataTable& table, int max_bins = 5);
 
   // Re-binds the (grown) table; extends or invalidates codes and strata.
+  // Requires quiescence (see the concurrency contract above).
   void Update(const DataTable& table);
 
   double PValue(int x, int y, const std::vector<int>& s) const override;
@@ -216,13 +241,29 @@ class GSquareTest : public CITest {
     ColumnCoding coding;
     uint64_t epoch = 0;
   };
-  // A memoized conditioning stratum: dense ids plus the radix-key map and
-  // the member-column epochs that make appending stable ids possible.
+  // A memoized conditioning stratum: dense ids plus the index that assigned
+  // them and the member-column epochs that make appending stable ids
+  // possible.
   struct StratumState {
     CodedColumn coded;
     std::vector<uint16_t> packed;
-    std::map<long long, int> dense;
+    StratumIndex dense;
     std::vector<uint64_t> member_epochs;  // parallel to the sorted set
+  };
+  using StrataMap = std::map<std::vector<int>, StratumState>;
+  // Open-addressed table of pointers to strata_ entries, probed by the hash
+  // of the sorted conditioning set. At most half full, so every probe ends
+  // at an empty slot.
+  struct StrataTable {
+    explicit StrataTable(size_t capacity);  // capacity: a power of two
+    // The entry whose key is `key` (hash = its hash), or null. Lock-free.
+    const StrataMap::value_type* Find(const std::vector<int>& key, size_t hash) const;
+    // Publishes an entry. Writers are serialized by strata_mu_.
+    void Place(const StrataMap::value_type* entry);
+
+    size_t mask = 0;
+    size_t used = 0;
+    std::unique_ptr<std::atomic<const StrataMap::value_type*>[]> slots;
   };
 
   const ColumnState& Coded(size_t v) const;
@@ -236,14 +277,32 @@ class GSquareTest : public CITest {
   // rows cannot extend the coding bit-identically.
   bool TryExtendColumn(size_t v, ColumnState* state, size_t old_rows) const;
 
+  // Empties every memo and sizes the column memo for num_vars columns.
+  // Requires quiescence.
+  void ResetMemos(size_t num_vars);
+  // Inserts a freshly built strata_ entry into the published table, growing
+  // it (into a new table; the old one is retired, not freed) when it would
+  // pass half full. Requires strata_mu_ or quiescence.
+  void PublishStratum(const StrataMap::value_type* entry) const;
+  // Drops every published strata table and republishes the surviving
+  // strata_ entries. Requires quiescence.
+  void RepublishStrata() const;
+
   const DataTable* table_;
   int max_bins_;
   size_t rows_ = 0;  // snapshot row count; codes/strata all have this length
+  // Coded columns: coded_[v] owns column v's state once built, and
+  // published_[v] points at it so hits read it without a lock.
   mutable std::vector<std::unique_ptr<ColumnState>> coded_;
-  mutable std::map<std::vector<int>, StratumState> strata_;
+  mutable std::unique_ptr<std::atomic<const ColumnState*>[]> published_;
+  // Strata: owned by strata_, found through strata_table_. Retired tables
+  // stay alive until the next Update because a reader may still probe them.
+  mutable StrataMap strata_;
+  mutable std::atomic<const StrataTable*> strata_table_{nullptr};
+  mutable std::vector<std::unique_ptr<StrataTable>> strata_tables_;
   mutable uint64_t epoch_counter_ = 0;
-  mutable std::mutex coded_mu_;
-  mutable std::mutex strata_mu_;
+  mutable std::mutex coded_mu_;   // guards coded_ fills and epoch_counter_
+  mutable std::mutex strata_mu_;  // guards strata_ inserts and strata_tables_
 };
 
 // Dispatches: Fisher z when both endpoints are continuous, G-test otherwise

@@ -1,5 +1,8 @@
 #include "stats/discretize.h"
 
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "util/rng.h"
@@ -98,6 +101,56 @@ TEST(CodedTableTest, EmptyStrataIsSingleStratum) {
   const CodedColumn strata = coded.Strata({});
   EXPECT_EQ(strata.cardinality, 1);
   EXPECT_EQ(strata.codes, (std::vector<int>{0, 0}));
+}
+
+// Columns whose mixed-radix key space exceeds 2^63 (8 columns of 240 levels,
+// 9 of 256): the radix key would overflow a signed 64-bit integer, so the
+// strata must be keyed on the code tuples. With 9 x 256 levels the tuple
+// (1, 0, ..., 0) has radix key 2^64, which a wrapped 64-bit key would merge
+// with the all-zero tuple.
+TEST(CodedTableTest, StrataExactWhenRadixSpaceExceedsInt64) {
+  for (const auto& [num_cols, card] : {std::pair<int, int>{8, 240}, {9, 256}}) {
+    const std::vector<std::vector<int>> rows = {
+        std::vector<int>(num_cols, 0),
+        [&] {
+          std::vector<int> r(num_cols, 0);
+          r[0] = 1;
+          return r;
+        }(),
+        std::vector<int>(num_cols, card - 1),
+        std::vector<int>(num_cols, 0),
+        [&] {
+          std::vector<int> r(num_cols, 0);
+          r[num_cols - 1] = 1;
+          return r;
+        }(),
+    };
+    std::vector<CodedColumn> cols(num_cols);
+    for (int c = 0; c < num_cols; ++c) {
+      cols[c].cardinality = card;
+      for (const auto& row : rows) {
+        cols[c].codes.push_back(row[c]);
+      }
+    }
+    std::vector<const CodedColumn*> ptrs;
+    for (const CodedColumn& c : cols) {
+      ptrs.push_back(&c);
+    }
+    StratumIndex index;
+    const CodedColumn strata = CombineStrata(ptrs, rows.size(), &index);
+    EXPECT_EQ(strata.codes, (std::vector<int>{0, 1, 2, 0, 3})) << num_cols << " x " << card;
+    EXPECT_EQ(strata.cardinality, 4);
+    // Appended rows keep the ids: a repeat of row 1, then a new tuple.
+    for (int c = 0; c < num_cols; ++c) {
+      cols[c].codes.push_back(rows[1][c]);
+      cols[c].codes.push_back(c == 1 ? 1 : 0);
+    }
+    int ids[2] = {-1, -1};
+    index.InternRows(ptrs, rows.size(), rows.size() + 2, ids);
+    EXPECT_EQ(ids[0], 1);
+    EXPECT_EQ(ids[1], 4);
+    EXPECT_EQ(index.size(), 5);
+  }
 }
 
 }  // namespace

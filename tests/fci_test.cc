@@ -327,6 +327,28 @@ TEST(CICacheTest, KeyNormalizationAndCounters) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
+// Clear resets only the read-table slots filled since the previous Clear;
+// every entry must still be gone from all tiers, across repeated cycles and
+// after the read table overflowed into displacements.
+TEST(CICacheTest, ClearEmptiesReadTableAcrossCycles) {
+  CICache cache;
+  for (const int keys : {300, 40000, 5, 0, 1200}) {
+    for (int k = 0; k < keys; ++k) {
+      cache.Store(CICache::MakeKey(k % 97, 100 + k / 97, {k % 7}, 50), 0.5);
+    }
+    for (int k = 0; k < keys; ++k) {
+      ASSERT_TRUE(cache.Lookup(CICache::MakeKey(k % 97, 100 + k / 97, {k % 7}, 50)).has_value())
+          << "keys=" << keys << " k=" << k;
+    }
+    cache.Clear();
+    EXPECT_EQ(cache.size(), 0u);
+    for (int k = 0; k < keys; ++k) {
+      ASSERT_FALSE(cache.Lookup(CICache::MakeKey(k % 97, 100 + k / 97, {k % 7}, 50)).has_value())
+          << "keys=" << keys << " k=" << k;
+    }
+  }
+}
+
 TEST(CICacheTest, CachedTestEvaluatesEachKeyOnce) {
   const World world = MeasuredWorld(SystemId::kBert, 120, 9);
   const CompositeTest inner(world.data);

@@ -1,6 +1,9 @@
 #include "stats/independence.h"
 
 #include <cmath>
+#include <cstring>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -218,6 +221,110 @@ TEST(CompositeTest, TracksCallCount) {
   test.PValue(0, 1, {});
   test.PValue(0, 1, {});
   EXPECT_GE(test.calls, 2);
+}
+
+// Eight threads hammer shared cold tests — the lock-free correlation memo,
+// the published coded columns, and the strata table while it grows — and
+// must see exactly what a serial run sees.
+TEST(ConcurrentMemo, HammeredColdTestsMatchSerialRun) {
+  Rng rng(11);
+  std::vector<Variable> vars;
+  for (int v = 0; v < 8; ++v) {
+    vars.push_back({"c" + std::to_string(v), VarType::kContinuous, VarRole::kEvent, {}});
+  }
+  for (int v = 0; v < 6; ++v) {
+    vars.push_back({"d" + std::to_string(v), VarType::kDiscrete, VarRole::kOption, {0, 1, 2}});
+  }
+  DataTable t(vars);
+  for (int r = 0; r < 400; ++r) {
+    const double latent = rng.Gaussian();
+    std::vector<double> row;
+    for (int v = 0; v < 8; ++v) {
+      row.push_back(0.1 * v * latent + rng.Gaussian());
+    }
+    for (int v = 0; v < 6; ++v) {
+      row.push_back(static_cast<double>(rng.Bernoulli(0.6) ? (latent > 0 ? 2 : 0)
+                                                           : rng.UniformInt(uint64_t{3})));
+    }
+    t.AddRow(row);
+  }
+  struct Query {
+    int x;
+    int y;
+    std::vector<int> s;
+  };
+  // Every pair within each type, with conditioning sets of sizes 0..3 drawn
+  // from the same type: enough distinct strata to grow the strata table.
+  std::vector<Query> fisher_queries;
+  std::vector<Query> gsq_queries;
+  for (int x = 0; x < 14; ++x) {
+    for (int y = x + 1; y < 14; ++y) {
+      const bool continuous = y < 8;
+      if ((x < 8) != continuous) {
+        continue;
+      }
+      const int lo = continuous ? 0 : 8;
+      const int hi = continuous ? 8 : 14;
+      std::vector<int> others;
+      for (int v = lo; v < hi; ++v) {
+        if (v != x && v != y) {
+          others.push_back(v);
+        }
+      }
+      for (size_t k = 0; k <= 3 && k <= others.size(); ++k) {
+        for (size_t start = 0; start + k <= others.size(); ++start) {
+          Query q{x, y, std::vector<int>(others.begin() + start, others.begin() + start + k)};
+          (continuous ? fisher_queries : gsq_queries).push_back(q);
+        }
+      }
+    }
+  }
+  const auto bits = [](double d) {
+    uint64_t b;
+    std::memcpy(&b, &d, sizeof(b));
+    return b;
+  };
+  const auto run = [&](const FisherZTest& fisher, const GSquareTest& gsq, size_t offset,
+                       std::vector<uint64_t>* out) {
+    const size_t nf = fisher_queries.size();
+    const size_t ng = gsq_queries.size();
+    out->assign(2 * nf + ng, 0);
+    // Each thread starts at a different offset so the cold misses race.
+    for (size_t i = 0; i < nf; ++i) {
+      const Query& q = fisher_queries[(i + offset) % nf];
+      (*out)[(i + offset) % nf] = bits(fisher.Correlation(q.x, q.y));
+      (*out)[nf + (i + offset) % nf] = bits(fisher.PValue(q.x, q.y, q.s));
+    }
+    for (size_t i = 0; i < ng; ++i) {
+      const Query& q = gsq_queries[(i + offset) % ng];
+      (*out)[2 * nf + (i + offset) % ng] = bits(gsq.PValue(q.x, q.y, q.s));
+    }
+  };
+  std::vector<uint64_t> serial;
+  {
+    const FisherZTest fisher(t);
+    const GSquareTest gsq(t);
+    run(fisher, gsq, 0, &serial);
+  }
+  constexpr size_t kThreads = 8;
+  for (int round = 0; round < 3; ++round) {
+    const FisherZTest fisher(t);
+    const GSquareTest gsq(t);
+    std::vector<std::vector<uint64_t>> results(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back(
+          [&, i] { run(fisher, gsq, i * 17 + static_cast<size_t>(round), &results[i]); });
+    }
+    for (std::thread& th : threads) {
+      th.join();
+    }
+    for (size_t i = 0; i < kThreads; ++i) {
+      EXPECT_EQ(results[i], serial) << "round " << round << " thread " << i;
+    }
+    EXPECT_EQ(fisher.calls.load(), static_cast<long long>(kThreads * fisher_queries.size()));
+    EXPECT_EQ(gsq.calls.load(), static_cast<long long>(kThreads * gsq_queries.size()));
+  }
 }
 
 }  // namespace

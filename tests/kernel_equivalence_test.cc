@@ -12,14 +12,24 @@
 //     the new-level full-recode fallback and stratum extension.
 //   - FirstIndependent is serially equivalent to a per-set PValue loop:
 //     same index, same p-value, same `calls` accounting, same early exit.
+//   - The allocation-free kernels (the scan-and-rank DiscretizeColumn, the
+//     flat-table StratumIndex behind CombineStrata, and the one-elimination
+//     solver pair behind FisherZTest::PartialCorrelation) are bit-identical
+//     to the map-based and two-solve code they replaced, kept below as
+//     references.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stats/discretize.h"
 #include "stats/independence.h"
+#include "stats/linalg.h"
 #include "stats/simd.h"
 #include "stats/table.h"
 #include "util/rng.h"
@@ -351,6 +361,382 @@ TEST(KernelEquivalence, FirstIndependentOnEmptyTable) {
   };
   const DataTable t(vars);
   CheckFirstIndependentEquivalence<GSquareTest>(t, 0, 1, {{}, {}}, 0.05);
+}
+
+// --- References: the map- and heap-based kernels, as they were -------------
+
+// DiscretizeColumn with one std::map node per distinct value.
+CodedColumn RefDiscretizeColumn(const std::vector<double>& col, VarType type, int max_bins,
+                                bool* direct, std::map<double, int>* levels_out) {
+  CodedColumn out;
+  out.codes.resize(col.size());
+  *direct = false;
+  levels_out->clear();
+  if (col.empty()) {
+    return out;
+  }
+  std::map<double, int> levels;
+  bool small_alphabet = true;
+  for (double v : col) {
+    if (levels.emplace(v, 0).second && levels.size() > static_cast<size_t>(max_bins)) {
+      if (type != VarType::kContinuous) {
+        continue;
+      }
+      small_alphabet = false;
+      break;
+    }
+  }
+  if (type != VarType::kContinuous || small_alphabet) {
+    levels.clear();
+    for (double v : col) {
+      levels.emplace(v, 0);
+    }
+    int next = 0;
+    for (auto& [value, code] : levels) {
+      code = next++;
+    }
+    for (size_t i = 0; i < col.size(); ++i) {
+      out.codes[i] = levels[col[i]];
+    }
+    out.cardinality = next;
+    *direct = true;
+    *levels_out = std::move(levels);
+    return out;
+  }
+  std::vector<double> sorted = col;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<double> cuts;
+  for (int b = 1; b < max_bins; ++b) {
+    size_t idx = static_cast<size_t>(
+        std::min<double>(sorted.size() - 1.0, std::floor(sorted.size() * b / double(max_bins))));
+    cuts.push_back(sorted[idx]);
+  }
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  for (size_t i = 0; i < col.size(); ++i) {
+    int code = 0;
+    for (double c : cuts) {
+      if (col[i] >= c) {
+        ++code;
+      } else {
+        break;
+      }
+    }
+    out.codes[i] = code;
+  }
+  out.cardinality = static_cast<int>(cuts.size()) + 1;
+  return out;
+}
+
+// CombineStrata with a std::map from the radix key (valid below 2^63).
+CodedColumn RefCombineStrata(const std::vector<const CodedColumn*>& cols, size_t num_rows) {
+  CodedColumn out;
+  out.codes.assign(num_rows, 0);
+  if (cols.empty()) {
+    out.cardinality = num_rows == 0 ? 0 : 1;
+    return out;
+  }
+  std::vector<long long> keys(num_rows, 0);
+  for (const CodedColumn* c : cols) {
+    const long long card = std::max(1, c->cardinality);
+    for (size_t r = 0; r < num_rows; ++r) {
+      keys[r] = keys[r] * card + c->codes[r];
+    }
+  }
+  std::map<long long, int> dense;
+  for (size_t r = 0; r < num_rows; ++r) {
+    out.codes[r] = dense.emplace(keys[r], static_cast<int>(dense.size())).first->second;
+  }
+  out.cardinality = static_cast<int>(dense.size());
+  return out;
+}
+
+// PartialCorrelation with one SolveLinearSystem call per right-hand side.
+double RefPartialCorrelation(const FisherZTest& test, int x, int y, const std::vector<int>& s) {
+  const auto corr = [&](int a, int b) {
+    return test.Correlation(static_cast<size_t>(a), static_cast<size_t>(b));
+  };
+  if (s.empty()) {
+    return corr(x, y);
+  }
+  const size_t k = s.size();
+  std::vector<std::vector<double>> css(k, std::vector<double>(k));
+  std::vector<double> csx(k);
+  std::vector<double> csy(k);
+  for (size_t i = 0; i < k; ++i) {
+    for (size_t j = 0; j < k; ++j) {
+      css[i][j] = corr(s[i], s[j]);
+    }
+    css[i][i] += 1e-9;
+    csx[i] = corr(s[i], x);
+    csy[i] = corr(s[i], y);
+  }
+  std::vector<double> bx;
+  std::vector<double> by;
+  if (!SolveLinearSystem(css, csx, &bx) || !SolveLinearSystem(css, csy, &by)) {
+    return 0.0;
+  }
+  double num = corr(x, y);
+  double dx = 1.0;
+  double dy = 1.0;
+  for (size_t i = 0; i < k; ++i) {
+    num -= bx[i] * csy[i];
+    dx -= bx[i] * csx[i];
+    dy -= by[i] * csy[i];
+  }
+  if (dx <= 1e-12 || dy <= 1e-12) {
+    return 0.0;
+  }
+  return std::max(-1.0, std::min(1.0, num / std::sqrt(dx * dy)));
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// Continuous columns for the partial-correlation checks: c0..c9 share a
+// latent factor; c10 duplicates c2 exactly (an exactly collinear pair: rank
+// correlation 1), c11 is c3 plus noise 1e-9 times smaller (near-collinear),
+// c12 is constant.
+DataTable ContinuousTable(size_t rows, uint64_t seed) {
+  std::vector<Variable> vars;
+  for (int v = 0; v < 13; ++v) {
+    vars.push_back({"c" + std::to_string(v), VarType::kContinuous, VarRole::kEvent, {}});
+  }
+  DataTable t(vars);
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    const double latent = rng.Gaussian();
+    std::vector<double> row;
+    for (int v = 0; v < 10; ++v) {
+      row.push_back((0.2 + 0.08 * v) * latent + rng.Gaussian());
+    }
+    row.push_back(row[2]);
+    row.push_back(row[3] + 1e-9 * rng.Gaussian());
+    row.push_back(4.0);
+    t.AddRow(row);
+  }
+  return t;
+}
+
+TEST(KernelEquivalence, StackPartialCorrelationMatchesTwoSolves) {
+  ReferenceModeGuard guard;
+  simd::SetReferenceKernels(false);
+  const DataTable t = ContinuousTable(400, 31);
+  const FisherZTest test(t);
+  // |S| = 0..8 on the stack path, |S| = 9 on the heap path.
+  for (size_t k = 0; k <= 9; ++k) {
+    std::vector<int> s;
+    for (size_t i = 0; i < k; ++i) {
+      s.push_back(static_cast<int>(2 + i));
+    }
+    EXPECT_EQ(Bits(test.PartialCorrelation(0, 1, s)), Bits(RefPartialCorrelation(test, 0, 1, s)))
+        << "|s|=" << k;
+  }
+  // Collinear, near-collinear and constant members, in several positions.
+  const std::vector<std::vector<int>> degenerate = {
+      {2, 10},       {10, 2, 4},     {3, 11},          {11, 5, 3},
+      {2, 10, 3, 11}, {12},           {12, 2, 10},      {4, 12, 6, 11, 3, 2, 10, 7},
+      {2, 2},        {2, 10, 2, 10}, {3, 4, 5, 6, 7, 8, 9, 11, 12}};
+  for (const auto& s : degenerate) {
+    EXPECT_EQ(Bits(test.PartialCorrelation(0, 1, s)), Bits(RefPartialCorrelation(test, 0, 1, s)))
+        << "|s|=" << s.size() << " first=" << s[0];
+    EXPECT_EQ(Bits(test.PartialCorrelation(2, 3, s)), Bits(RefPartialCorrelation(test, 2, 3, s)))
+        << "|s|=" << s.size() << " first=" << s[0];
+  }
+}
+
+// The solver pair itself on matrices PartialCorrelation never builds: random
+// dense systems, a pivot just above and just below the 1e-12 singularity
+// rule, and exactly collinear rows.
+TEST(KernelEquivalence, SolverPairMatchesTwoSolves) {
+  Rng rng(37);
+  const auto check = [](const std::vector<std::vector<double>>& m, const std::vector<double>& r1,
+                        const std::vector<double>& r2) {
+    const size_t n = m.size();
+    std::vector<double> want1;
+    std::vector<double> want2;
+    const bool ok1 = SolveLinearSystem(m, r1, &want1);
+    const bool ok2 = SolveLinearSystem(m, r2, &want2);
+    ASSERT_EQ(ok1, ok2);
+    std::vector<double> flat;
+    for (const auto& row : m) {
+      flat.insert(flat.end(), row.begin(), row.end());
+    }
+    std::vector<double> x1 = r1;
+    std::vector<double> x2 = r2;
+    ASSERT_EQ(SolveLinearSystemPair(n, flat.data(), x1.data(), x2.data()), ok1) << "n=" << n;
+    if (!ok1) {
+      return;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(Bits(x1[i]), Bits(want1[i])) << "n=" << n << " i=" << i;
+      EXPECT_EQ(Bits(x2[i]), Bits(want2[i])) << "n=" << n << " i=" << i;
+    }
+  };
+  for (size_t n = 1; n <= 12; ++n) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<std::vector<double>> m(n, std::vector<double>(n));
+      std::vector<double> r1(n);
+      std::vector<double> r2(n);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          // Some exact zeros exercise the f == 0 skip.
+          m[i][j] = rng.Bernoulli(0.2) ? 0.0 : rng.Gaussian();
+        }
+        m[i][i] += 0.5;
+        r1[i] = rng.Gaussian();
+        r2[i] = rng.Gaussian();
+      }
+      check(m, r1, r2);
+    }
+  }
+  for (double eps : {2e-12, 5e-13, 0.0}) {
+    // Row 1 = row 0 + eps in one entry: the second pivot is about eps.
+    const std::vector<std::vector<double>> m = {
+        {1.0, 0.5, 0.25}, {1.0, 0.5 + eps, 0.25}, {0.1, 0.2, 0.9}};
+    check(m, {1.0, 2.0, 3.0}, {-1.0, 0.5, 0.25});
+  }
+}
+
+TEST(KernelEquivalence, DiscretizeMatchesMapReference) {
+  Rng rng(41);
+  struct Case {
+    const char* name;
+    std::vector<double> col;
+    VarType type;
+    int max_bins;
+  };
+  std::vector<Case> cases;
+  const auto draw = [&](size_t rows, int levels, double scale) {
+    std::vector<double> col;
+    for (size_t r = 0; r < rows; ++r) {
+      col.push_back(scale * static_cast<double>(rng.UniformInt(static_cast<uint64_t>(levels))));
+    }
+    return col;
+  };
+  cases.push_back({"discrete 3 levels", draw(500, 3, 1.0), VarType::kDiscrete, 5});
+  cases.push_back({"discrete 32 levels", draw(2000, 32, 0.5), VarType::kDiscrete, 5});
+  cases.push_back({"discrete 33 levels", draw(2000, 33, 0.5), VarType::kDiscrete, 5});
+  cases.push_back({"discrete 300 levels", draw(5000, 300, -1.5), VarType::kDiscrete, 5});
+  cases.push_back({"binary", draw(100, 2, 1.0), VarType::kBinary, 5});
+  cases.push_back({"discrete constant", std::vector<double>(50, 7.0), VarType::kDiscrete, 5});
+  cases.push_back({"continuous constant", std::vector<double>(50, -3.0), VarType::kContinuous, 5});
+  cases.push_back({"continuous = max_bins", draw(400, 5, 1.25), VarType::kContinuous, 5});
+  cases.push_back({"continuous = max_bins + 1", draw(400, 6, 1.25), VarType::kContinuous, 5});
+  cases.push_back({"continuous 1 bin", draw(100, 2, 1.0), VarType::kContinuous, 1});
+  cases.push_back({"continuous 40 of 40 bins", draw(3000, 40, 0.1), VarType::kContinuous, 40});
+  cases.push_back({"continuous 41 of 40 bins", draw(3000, 41, 0.1), VarType::kContinuous, 40});
+  std::vector<double> gaussian;
+  for (int r = 0; r < 1000; ++r) {
+    gaussian.push_back(rng.Gaussian());
+  }
+  cases.push_back({"continuous gaussian", gaussian, VarType::kContinuous, 5});
+  // -0.0 and 0.0 are one level; which one appears first varies.
+  for (const double first_zero : {-0.0, 0.0}) {
+    std::vector<double> zeros = {first_zero, 1.0};
+    for (int r = 0; r < 200; ++r) {
+      zeros.push_back(rng.Bernoulli(0.3) ? 1.0 : (rng.Bernoulli(0.5) ? -0.0 : 0.0));
+    }
+    cases.push_back({"signed zeros discrete", zeros, VarType::kDiscrete, 5});
+    cases.push_back({"signed zeros continuous", zeros, VarType::kContinuous, 2});
+    zeros.push_back(-1.0);
+    cases.push_back({"signed zeros quantile", zeros, VarType::kContinuous, 2});
+  }
+  cases.push_back({"empty", {}, VarType::kContinuous, 5});
+  for (const Case& c : cases) {
+    ColumnCoding coding;
+    const CodedColumn got = DiscretizeColumn(c.col, c.type, c.max_bins, &coding);
+    bool want_direct = false;
+    std::map<double, int> want_levels;
+    const CodedColumn want =
+        RefDiscretizeColumn(c.col, c.type, c.max_bins, &want_direct, &want_levels);
+    EXPECT_EQ(got.codes, want.codes) << c.name;
+    EXPECT_EQ(got.cardinality, want.cardinality) << c.name;
+    EXPECT_EQ(coding.direct, want_direct) << c.name;
+    ASSERT_EQ(coding.levels.size(), want_levels.size()) << c.name;
+    size_t i = 0;
+    for (const auto& [value, code] : want_levels) {
+      EXPECT_EQ(coding.levels[i], value) << c.name;
+      EXPECT_EQ(static_cast<int>(i), code) << c.name;
+      ++i;
+    }
+  }
+}
+
+TEST(KernelEquivalence, CombineStrataMatchesMapReferenceAroundFlatBound) {
+  Rng rng(43);
+  const auto column = [&](size_t rows, int card) {
+    CodedColumn c;
+    c.cardinality = card;
+    for (size_t r = 0; r < rows; ++r) {
+      c.codes.push_back(static_cast<int>(rng.UniformInt(static_cast<uint64_t>(card))));
+    }
+    return c;
+  };
+  const long long bound = StratumIndex::kMaxFlatStrata;
+  // Radix spaces: 1 column at and just past the bound, 2 columns at (64 x 64
+  // = 4096) and just past it, 3 columns well below and far above, and a
+  // one-level member that contributes a factor of 1.
+  const std::vector<std::vector<int>> shapes = {
+      {static_cast<int>(bound)}, {static_cast<int>(bound) + 1}, {64, 64}, {64, 65},
+      {2, 3, 5},                  {40, 40, 40},                  {1, 64, 64}, {2, 1, 2049}};
+  for (const auto& cards : shapes) {
+    std::vector<CodedColumn> cols;
+    for (int card : cards) {
+      cols.push_back(column(6000, card));
+    }
+    std::vector<const CodedColumn*> ptrs;
+    for (const CodedColumn& c : cols) {
+      ptrs.push_back(&c);
+    }
+    const CodedColumn got = CombineStrata(ptrs, 6000);
+    const CodedColumn want = RefCombineStrata(ptrs, 6000);
+    EXPECT_EQ(got.codes, want.codes) << "columns=" << cards.size() << " first=" << cards[0];
+    EXPECT_EQ(got.cardinality, want.cardinality);
+  }
+}
+
+// Strata on both sides of the flat-table bound keep extending bit-identically
+// when rows are appended: 64 x 64 levels is a flat index, 64 x 65 a map.
+TEST(KernelEquivalence, IncrementalStratumExtensionAroundFlatBound) {
+  ReferenceModeGuard guard;
+  simd::SetReferenceKernels(false);
+  std::vector<Variable> vars = {
+      {"x", VarType::kDiscrete, VarRole::kOption, {0, 1}},
+      {"y", VarType::kDiscrete, VarRole::kOption, {0, 1, 2}},
+      {"a64", VarType::kDiscrete, VarRole::kOption, {}},
+      {"b64", VarType::kDiscrete, VarRole::kOption, {}},
+      {"c65", VarType::kDiscrete, VarRole::kOption, {}},
+  };
+  DataTable t(vars);
+  Rng rng(47);
+  const auto add_rows = [&](int rows) {
+    for (int r = 0; r < rows; ++r) {
+      const double a = static_cast<double>(rng.UniformInt(uint64_t{64}));
+      t.AddRow({rng.Bernoulli(0.7) ? static_cast<double>(static_cast<int>(a) % 2)
+                                   : static_cast<double>(rng.UniformInt(uint64_t{2})),
+                static_cast<double>(rng.UniformInt(uint64_t{3})), a,
+                static_cast<double>(rng.UniformInt(uint64_t{64})),
+                static_cast<double>(rng.UniformInt(uint64_t{65}))});
+    }
+  };
+  add_rows(3000);  // every level of every column appears
+  const std::vector<std::vector<int>> sets = {{2, 3}, {2, 4}, {3, 4}, {4}, {2, 3, 4}};
+  GSquareTest incremental(t);
+  for (const auto& s : sets) {
+    (void)incremental.PValue(0, 1, s);
+  }
+  for (int step = 0; step < 3; ++step) {
+    add_rows(200);
+    incremental.Update(t);
+    GSquareTest cold(t);
+    for (const auto& s : sets) {
+      EXPECT_EQ(Bits(incremental.PValue(0, 1, s)), Bits(cold.PValue(0, 1, s)))
+          << "step=" << step << " |s|=" << s.size() << " first=" << s[0];
+    }
+  }
 }
 
 }  // namespace
