@@ -336,7 +336,7 @@ bool RunPerRefreshStudy(bool smoke, bench::JsonResults* json, double gate_multip
 // {1, 2, 4, 8}. Two gates:
 //   - bit identity (always): every thread count must reproduce the t=1
 //     discovery graph AND the t=1 test/cache accounting exactly — the
-//     parallel PDS/entropic phases and the buffered cache publishes are
+//     parallel skeleton/entropic phases and the shared cache stores are
 //     contracted to be invisible in the results.
 //   - scaling (full mode, hosts with >= 8 hardware threads only): t=8 must
 //     be >= 2x faster per refresh than t=1. Timing is never gated on

@@ -220,47 +220,23 @@ void CICache::InsertReadTable(const Key& key, double p_value, uint32_t shard) {
   fill(slot, s + 1);
 }
 
-std::optional<CICache::Hit> CICache::Probe(const Key& key, uint32_t shard,
-                                           const WriteBuffer* pending) const {
-  if (auto fast = ProbeReadTable(key, shard)) {
-    return fast;
-  }
-  if (pending != nullptr && pending->any_.load(std::memory_order_acquire)) {
-    const WriteBuffer::Lane& lane = pending->lanes_[KeyHash{}(key) % WriteBuffer::kLanes];
-    std::lock_guard<std::mutex> lock(lane.mu);
-    const auto it = lane.map.find(key);
-    if (it != lane.map.end()) {
-      return Hit{it->second, /*cross_shard=*/false};  // our own unpublished store
-    }
-  }
-  const Stripe& stripe = StripeFor(key);
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.map.find(key);
-  if (it == stripe.map.end()) {
-    return std::nullopt;
-  }
-  Hit hit;
-  hit.p_value = it->second.p_value;
-  hit.cross_shard = it->second.shard != shard;
-  return hit;
-}
-
-std::optional<CICache::Hit> CICache::LookupFrom(const Key& key, uint32_t shard,
-                                                const WriteBuffer* pending) {
+std::optional<CICache::Hit> CICache::LookupFrom(const Key& key, uint32_t shard) {
   BumpCell(lookup_cells_, 1);
-  const auto hit = Probe(key, shard, pending);
-  if (hit) {
-    BumpCell(hit_cells_, 1);
-    if (hit->cross_shard) {
-      BumpCell(cross_cells_, 1);
+  std::optional<Hit> hit = ProbeReadTable(key, shard);
+  if (!hit) {
+    const Stripe& stripe = StripeFor(key);
+    std::lock_guard<std::mutex> lock(stripe.mu);
+    const auto it = stripe.map.find(key);
+    if (it == stripe.map.end()) {
+      return std::nullopt;
     }
+    hit = Hit{it->second.p_value, it->second.shard != shard};
+  }
+  BumpCell(hit_cells_, 1);
+  if (hit->cross_shard) {
+    BumpCell(cross_cells_, 1);
   }
   return hit;
-}
-
-std::optional<CICache::Hit> CICache::LookupQuiet(const Key& key, uint32_t shard,
-                                                 const WriteBuffer* pending) const {
-  return Probe(key, shard, pending);
 }
 
 void CICache::Store(const Key& key, double p_value, uint32_t shard) {
@@ -278,44 +254,6 @@ void CICache::Store(const Key& key, double p_value, uint32_t shard) {
     stripe.map.emplace(key, Entry{p_value, shard});
   }
   InsertReadTable(key, p_value, shard);
-}
-
-void CICache::StoreBuffered(const Key& key, double p_value, WriteBuffer* pending) {
-  WriteBuffer::Lane& lane = pending->lanes_[KeyHash{}(key) % WriteBuffer::kLanes];
-  {
-    std::lock_guard<std::mutex> lock(lane.mu);
-    lane.map.emplace(key, p_value);  // dupes carry the same value; first wins
-  }
-  pending->any_.store(true, std::memory_order_release);
-}
-
-void CICache::Publish(WriteBuffer* pending, uint32_t shard) {
-  if (!pending->any_.load(std::memory_order_acquire)) {
-    return;
-  }
-  for (WriteBuffer::Lane& lane : pending->lanes_) {
-    std::lock_guard<std::mutex> lock(lane.mu);
-    for (const auto& [key, p] : lane.map) {
-      Store(key, p, shard);
-    }
-    lane.map.clear();
-  }
-  // Publish must not race StoreBuffered on the same buffer (it is called at
-  // phase barriers / destruction, when the owning sweep is quiescent), so
-  // clearing the flag after the drain cannot lose a store.
-  pending->any_.store(false, std::memory_order_release);
-}
-
-void CICache::AddCounterSamples(long long lookups, long long hits, long long cross_shard) {
-  if (lookups != 0) {
-    BumpCell(lookup_cells_, lookups);
-  }
-  if (hits != 0) {
-    BumpCell(hit_cells_, hits);
-  }
-  if (cross_shard != 0) {
-    BumpCell(cross_cells_, cross_shard);
-  }
 }
 
 size_t CICache::size() const {
@@ -445,7 +383,7 @@ double CachedCITest::PValue(int x, int y, const std::vector<int>& s) const {
     return inner_.PValue(x, y, s);
   }
   const CICache::Key key = CICache::MakeKey(x, y, s, n_rows_, table_tag_);
-  if (const auto cached = cache_->LookupFrom(key, shard_, &pending_)) {
+  if (const auto cached = cache_->LookupFrom(key, shard_)) {
     ++hits_;
     if (cached->cross_shard) {
       ++cross_shard_hits_;
@@ -455,7 +393,7 @@ double CachedCITest::PValue(int x, int y, const std::vector<int>& s) const {
   // Concurrent misses on the same key may both evaluate; the test is
   // deterministic, so both store the same value.
   const double p = inner_.PValue(x, y, s);
-  cache_->StoreBuffered(key, p, &pending_);
+  cache_->Store(key, p, shard_);
   return p;
 }
 
@@ -477,7 +415,7 @@ int CachedCITest::FirstIndependent(const BatchedCIRequest& req, double* p_out) c
       p = inner_.PValue(req.x, req.y, s);
     } else {
       const CICache::Key key = CICache::MakeKey(req.x, req.y, s, n_rows_, table_tag_);
-      if (const auto cached = cache_->LookupFrom(key, shard_, &pending_)) {
+      if (const auto cached = cache_->LookupFrom(key, shard_)) {
         ++hits_;
         if (cached->cross_shard) {
           ++cross_shard_hits_;
@@ -485,7 +423,7 @@ int CachedCITest::FirstIndependent(const BatchedCIRequest& req, double* p_out) c
         p = cached->p_value;
       } else {
         p = inner_.PValue(req.x, req.y, s);
-        cache_->StoreBuffered(key, p, &pending_);
+        cache_->Store(key, p, shard_);
       }
     }
     if (p >= req.alpha) {
@@ -496,105 +434,6 @@ int CachedCITest::FirstIndependent(const BatchedCIRequest& req, double* p_out) c
     }
   }
   return -1;
-}
-
-void CachedCITest::SpeculateFirstIndependent(const BatchedCIRequest& req,
-                                             const PendingPValues* overlay,
-                                             CISpeculation* out) const {
-  if (cache_ == nullptr) {
-    // No cache: delegate to the inner test's speculation (its counter
-    // advances during evaluation and rolls back on discard); this
-    // decorator's own counter advances only on adoption.
-    inner_.SpeculateFirstIndependent(req, nullptr, out);
-    return;
-  }
-  *out = CISpeculation{};  // a reused speculation must not accumulate
-  const auto& sets = *req.sets;
-  for (size_t i = 0; i < sets.size(); ++i) {
-    ++out->examined;
-    const std::vector<int>& s = sets[i];
-    double p = 0.0;
-    if (!CICache::Cacheable(s)) {
-      p = inner_.PValue(req.x, req.y, s);
-      ++out->inner_evals;
-    } else {
-      ++out->lookups;
-      bool found = false;
-      if (overlay != nullptr && !overlay->empty()) {
-        // The prior sweep of this pair's other side stored these; a serial
-        // run would find them in the cache.
-        std::vector<int> sorted = s;
-        std::sort(sorted.begin(), sorted.end());
-        const auto it = overlay->find(sorted);
-        if (it != overlay->end()) {
-          p = it->second;
-          found = true;
-          ++out->hits;
-        }
-      }
-      if (!found) {
-        const CICache::Key key = CICache::MakeKey(req.x, req.y, s, n_rows_, table_tag_);
-        if (const auto cached = cache_->LookupQuiet(key, shard_, &pending_)) {
-          p = cached->p_value;
-          found = true;
-          ++out->hits;
-          if (cached->cross_shard) {
-            ++out->cross_shard_hits;
-          }
-        }
-      }
-      if (!found) {
-        p = inner_.PValue(req.x, req.y, s);
-        ++out->inner_evals;
-        out->stores.emplace_back(i, p);
-      }
-    }
-    if (p >= req.alpha) {
-      out->first_independent = static_cast<int>(i);
-      out->p = p;
-      return;
-    }
-  }
-}
-
-void CachedCITest::AdoptSpeculation(const CISpeculation& spec, const BatchedCIRequest& req) const {
-  calls += spec.examined;
-  if (cache_ == nullptr) {
-    return;  // the inner test already carries its evaluation counts
-  }
-  hits_ += spec.hits;
-  cross_shard_hits_ += spec.cross_shard_hits;
-  cache_->AddCounterSamples(spec.lookups, spec.hits, spec.cross_shard_hits);
-  for (const auto& [index, p] : spec.stores) {
-    const CICache::Key key =
-        CICache::MakeKey(req.x, req.y, (*req.sets)[index], n_rows_, table_tag_);
-    cache_->StoreBuffered(key, p, &pending_);
-  }
-}
-
-void CachedCITest::DiscardSpeculation(const CISpeculation& spec) const {
-  // Roll back the inner evaluations' counter advances; the memoized
-  // intermediate state they warmed (coded columns, correlations) is
-  // value-deterministic, so leaving it warm cannot change any later result.
-  inner_.DiscardSpeculation(spec);
-}
-
-void CachedCITest::AppendPendingOverlay(const CISpeculation& spec, const BatchedCIRequest& req,
-                                        PendingPValues* overlay) const {
-  if (cache_ == nullptr) {
-    return;  // uncached: no cross-sweep visibility to model
-  }
-  for (const auto& [index, p] : spec.stores) {
-    std::vector<int> s = (*req.sets)[index];
-    std::sort(s.begin(), s.end());
-    (*overlay)[std::move(s)] = p;
-  }
-}
-
-void CachedCITest::PublishPending() const {
-  if (cache_ != nullptr) {
-    cache_->Publish(&pending_, shard_);
-  }
 }
 
 }  // namespace unicorn

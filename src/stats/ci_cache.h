@@ -17,19 +17,17 @@
 // the same tag and share hits; the first divergent row changes the tag
 // forever after, so a stale cross-shard result can never be served.
 //
-// The cache is concurrent, with three tiers on the read path:
+// The cache is concurrent, with two tiers on the read path:
 //   1. A lock-free read table: a fixed-size open-addressed array of seqlock
 //      slots holding the hottest entries. Readers never take a lock and
 //      never write shared cache state, so eight sweep threads probing one
 //      cache stop serializing on stripe mutexes. It is a pure accelerator —
-//      a miss (empty slot, torn read, evicted entry) falls through to tier 3,
-//      so hit accounting never depends on it.
-//   2. An optional per-caller pending-write buffer (WriteBuffer): parallel
-//      search phases buffer their stores locally and publish them at phase
-//      barriers (deterministic points), instead of contending on the shared
-//      stripes mid-sweep. Lookups that pass their buffer see their own
-//      pending writes, so buffering is invisible to the owning caller.
-//   3. The authoritative striped-lock maps (writes always land here).
+//      a miss (empty slot, torn read, evicted entry) falls through to tier 2,
+//      so hit accounting never depends on it. Its ~2.7 MB of slots are
+//      allocated once, on first need; ReserveReadTable lets the thread that
+//      drives a refresh do that before its sweep workers store (see there).
+//   2. The authoritative striped-lock maps. Every store lands here and in
+//      the read table, so a stored entry is visible to every caller at once.
 //
 // Every entry remembers which shard stored it so cross-shard hits ("how many
 // tests did the shared cache buy?") are accounted separately from
@@ -94,30 +92,6 @@ class CICache {
     bool cross_shard = false;
   };
 
-  // Per-caller buffer of stores not yet published to the shared stripes.
-  // Striped internally so one decorator's sweep workers can buffer
-  // concurrently; the owning CICache drains it in Publish(). Movable-nothing:
-  // owned by value inside a decorator, referenced by pointer elsewhere.
-  class WriteBuffer {
-   public:
-    WriteBuffer() = default;
-    WriteBuffer(const WriteBuffer&) = delete;
-    WriteBuffer& operator=(const WriteBuffer&) = delete;
-
-   private:
-    friend class CICache;
-    static constexpr size_t kLanes = 16;
-    struct Lane {
-      mutable std::mutex mu;
-      std::unordered_map<Key, double, KeyHash> map;
-    };
-    std::array<Lane, kLanes> lanes_;
-    // Cheap emptiness probe so lookups skip the lane lock entirely while the
-    // buffer has never been written (the overwhelmingly common case for
-    // read-heavy phases).
-    std::atomic<bool> any_{false};
-  };
-
   // Canonical key: unordered pair + sorted conditioning set. `Cacheable`
   // must be checked first; MakeKey assumes s fits.
   static bool Cacheable(const std::vector<int>& s) { return s.size() <= kMaxConditioning; }
@@ -135,25 +109,17 @@ class CICache {
     return hit ? std::optional<double>(hit->p_value) : std::nullopt;
   }
   // Shard-attributed lookup: counts a cross-shard hit when the entry was
-  // stored by a shard other than `shard`. When `pending` is given, the
-  // caller's unpublished stores are consulted too (as shard-local entries).
-  std::optional<Hit> LookupFrom(const Key& key, uint32_t shard,
-                                const WriteBuffer* pending = nullptr);
-  // Same probe sequence, but touches no counters — the speculative sweeps
-  // use it and replay the counter deltas only if the speculation is adopted.
-  std::optional<Hit> LookupQuiet(const Key& key, uint32_t shard,
-                                 const WriteBuffer* pending = nullptr) const;
+  // stored by a shard other than `shard`.
+  std::optional<Hit> LookupFrom(const Key& key, uint32_t shard);
   void Store(const Key& key, double p_value, uint32_t shard = 0);
-  // Buffered store: lands in `pending` only; visible to lookups that pass
-  // the same buffer, published to the shared tiers by Publish().
-  void StoreBuffered(const Key& key, double p_value, WriteBuffer* pending);
-  // Phase barrier: drains `pending` into the striped maps and the read
-  // table, attributed to `shard`. Safe to call concurrently with lookups and
-  // stores from other callers.
-  void Publish(WriteBuffer* pending, uint32_t shard);
-  // Replays the counter deltas of an adopted speculative sweep (which probed
-  // via LookupQuiet so discarded sweeps leave no trace in the totals).
-  void AddCounterSamples(long long lookups, long long hits, long long cross_shard);
+  // Allocates the read table on the calling thread unless it exists. Left to
+  // the first Store, a sweep worker would allocate it: glibc then serves it
+  // from that worker's malloc arena, and each worker arena keeps its own
+  // high-water copy (peak RSS of a small debug campaign more than doubled).
+  // CachedCITest calls this from its constructor, on the thread driving the
+  // refresh. The CICache constructor does not, so that shared caches no
+  // refresh consults never pay for the table.
+  void ReserveReadTable() { EnsureReadTable(); }
 
   long long hits() const { return SumCells(hit_cells_); }
   long long lookups() const { return SumCells(lookup_cells_); }
@@ -228,8 +194,6 @@ class CICache {
   Stripe& StripeFor(const Key& key) { return stripes_[KeyHash{}(key) % kStripes]; }
   const Stripe& StripeFor(const Key& key) const { return stripes_[KeyHash{}(key) % kStripes]; }
 
-  // The uncounted three-tier probe shared by LookupFrom and LookupQuiet.
-  std::optional<Hit> Probe(const Key& key, uint32_t shard, const WriteBuffer* pending) const;
   std::optional<Hit> ProbeReadTable(const Key& key, uint32_t shard) const;
   ReadSlot* EnsureReadTable();
   void InsertReadTable(const Key& key, double p_value, uint32_t shard);
@@ -253,22 +217,15 @@ class CICache {
 // `calls` on this object counts requested tests (hits + misses); `calls` on
 // the inner test counts the p-values actually evaluated. `hits()` and
 // `cross_shard_hits()` count locally — exact for this decorator even while
-// other shards hammer the same cache concurrently.
-//
-// Stores are buffered: evaluated p-values land in a decorator-private
-// WriteBuffer that this decorator's own lookups always consult, and are
-// published to the shared cache at phase barriers (PublishPending, called by
-// the search phases) and on destruction. Within one decorator the buffering
-// is invisible; other shards see the entries at the next barrier instead of
-// mid-sweep.
+// other shards hammer the same cache concurrently. Evaluated p-values are
+// stored straight into the shared cache.
 class CachedCITest : public CITest {
  public:
   CachedCITest(const CITest& inner, CICache* cache, uint64_t n_rows,
                uint64_t table_tag = 0, uint32_t shard = 0)
-      : inner_(inner), cache_(cache), n_rows_(n_rows), table_tag_(table_tag), shard_(shard) {}
-  ~CachedCITest() override {
+      : inner_(inner), cache_(cache), n_rows_(n_rows), table_tag_(table_tag), shard_(shard) {
     if (cache_ != nullptr) {
-      cache_->Publish(&pending_, shard_);
+      cache_->ReserveReadTable();
     }
   }
 
@@ -277,17 +234,6 @@ class CachedCITest : public CITest {
   // Batched: one cache-key template per level; per-set semantics (lookup,
   // store, counters, early exit) identical to per-set PValue calls.
   int FirstIndependent(const BatchedCIRequest& req, double* p_out = nullptr) const override;
-
-  // Speculative sweep protocol (see CITest): probes via LookupQuiet and
-  // records stores/counter deltas in the speculation; adoption replays them
-  // onto this decorator, the cache totals, and the pending buffer.
-  void SpeculateFirstIndependent(const BatchedCIRequest& req, const PendingPValues* overlay,
-                                 CISpeculation* out) const override;
-  void AdoptSpeculation(const CISpeculation& spec, const BatchedCIRequest& req) const override;
-  void DiscardSpeculation(const CISpeculation& spec) const override;
-  void AppendPendingOverlay(const CISpeculation& spec, const BatchedCIRequest& req,
-                            PendingPValues* overlay) const override;
-  void PublishPending() const override;
 
   const CITest& inner() const { return inner_; }
   long long hits() const { return hits_.load(); }
@@ -301,7 +247,6 @@ class CachedCITest : public CITest {
   uint32_t shard_;
   mutable std::atomic<long long> hits_{0};
   mutable std::atomic<long long> cross_shard_hits_{0};
-  mutable CICache::WriteBuffer pending_;
 };
 
 }  // namespace unicorn

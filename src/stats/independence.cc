@@ -82,44 +82,6 @@ int CITest::FirstIndependent(const BatchedCIRequest& req, double* p_out) const {
   return -1;
 }
 
-void CITest::SpeculateFirstIndependent(const BatchedCIRequest& req,
-                                       const PendingPValues* overlay,
-                                       CISpeculation* out) const {
-  // Uncached base path: every examined set is an inner evaluation, which
-  // advances `calls` immediately (PValue owns that counter). Adoption is
-  // therefore a no-op and discard rolls the advances back; the overlay is
-  // irrelevant because an uncached serial run re-evaluates every set too.
-  (void)overlay;
-  *out = CISpeculation{};  // a reused speculation must not accumulate
-  const auto& sets = *req.sets;
-  for (size_t i = 0; i < sets.size(); ++i) {
-    ++out->examined;
-    ++out->inner_evals;
-    const double p = PValue(req.x, req.y, sets[i]);
-    if (p >= req.alpha) {
-      out->first_independent = static_cast<int>(i);
-      out->p = p;
-      return;
-    }
-  }
-}
-
-void CITest::AdoptSpeculation(const CISpeculation& spec, const BatchedCIRequest& req) const {
-  (void)spec;
-  (void)req;  // counters already advanced during the speculative evaluation
-}
-
-void CITest::DiscardSpeculation(const CISpeculation& spec) const {
-  calls.fetch_sub(spec.inner_evals, std::memory_order_relaxed);
-}
-
-void CITest::AppendPendingOverlay(const CISpeculation& spec, const BatchedCIRequest& req,
-                                  PendingPValues* overlay) const {
-  (void)spec;
-  (void)req;
-  (void)overlay;  // no cache, no cross-sweep visibility
-}
-
 // --- FisherZTest ------------------------------------------------------------
 
 FisherZTest::FisherZTest(const DataTable& table, ThreadPool* pool) { Update(table, pool); }

@@ -141,7 +141,6 @@ ShardPoolOptions CampaignRunner::MakePoolOptions(const CampaignOptions& options)
   pool.engine = options.engine;
   pool.refresh_threads = options.refresh_threads;
   pool.share_ci_cache = options.share_ci_cache;
-  pool.pin_refresh_threads = options.pin_refresh_threads;
   return pool;
 }
 

@@ -126,7 +126,6 @@ void EngineShardPool::StartRefreshAsync(size_t shard_index, uint64_t seed, uint6
   if (async_pool_ == nullptr) {
     TaskPool::Options pool_options;
     pool_options.num_threads = options_.refresh_threads < 1 ? 1 : options_.refresh_threads;
-    pool_options.pin_threads = options_.pin_refresh_threads;
     pool_options.name = "refresh";
     async_pool_ = std::make_unique<TaskPool>(pool_options);
   }

@@ -62,9 +62,6 @@ struct ShardPoolOptions {
   // pure memoization, so eviction costs re-evaluation, never correctness.
   // Only meaningful with share_ci_cache.
   size_t shared_cache_entries = 1 << 18;
-  // Pin the asynchronous refresh workers to CPUs (ThreadPool::Options::
-  // pin_threads). Off by default; a performance hint only.
-  bool pin_refresh_threads = false;
 };
 
 // Fleet-style aggregate over every shard's EngineStats, plus the pool-level

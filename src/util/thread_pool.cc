@@ -1,99 +1,12 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <fstream>
-#include <set>
 #include <string>
 #include <utility>
 
 #include "obs/trace.h"
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace unicorn {
-
-namespace {
-
-// Best-effort pin of `thread` to the one logical CPU chosen by PlanPinning.
-// Failure (mask raced with a cgroup change, exotic topology) is silently
-// ignored — affinity is a performance hint, never a correctness dependency.
-void PinToCpu(std::thread& thread, int cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(cpu), &set);
-  pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set);
-#else
-  (void)thread;
-  (void)cpu;
-#endif
-}
-
-#if defined(__linux__)
-// One sysfs topology integer ("core_id", "physical_package_id"), or -1.
-int ReadTopologyId(int cpu, const char* leaf) {
-  std::ifstream in("/sys/devices/system/cpu/cpu" + std::to_string(cpu) + "/topology/" + leaf);
-  int value = -1;
-  in >> value;
-  return in ? value : -1;
-}
-#endif
-
-}  // namespace
-
-CpuTopology DetectCpuTopology() {
-  CpuTopology topo;
-#if defined(__linux__)
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) {
-    topo.logical_cpus = static_cast<int>(std::thread::hardware_concurrency());
-    return topo;
-  }
-  // Distinct (package, core) pairs over the *allowed* CPUs only: a
-  // cgroup-restricted container must plan against its slice, not the host.
-  std::set<std::pair<int, int>> cores;
-  bool structure_known = true;
-  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-    if (!CPU_ISSET(cpu, &mask)) {
-      continue;
-    }
-    ++topo.logical_cpus;
-    const int core = ReadTopologyId(cpu, "core_id");
-    if (core < 0) {
-      structure_known = false;
-      continue;
-    }
-    const int package = std::max(0, ReadTopologyId(cpu, "physical_package_id"));
-    if (cores.insert({package, core}).second) {
-      topo.core_leaders.push_back(cpu);  // first allowed CPU seen on the core
-    }
-  }
-  if (structure_known && !cores.empty()) {
-    topo.physical_cores = static_cast<int>(cores.size());
-    topo.smt_siblings = topo.logical_cpus > topo.physical_cores;
-  } else {
-    topo.core_leaders.clear();  // partial structure: don't pretend to know it
-  }
-#else
-  topo.logical_cpus = static_cast<int>(std::thread::hardware_concurrency());
-#endif
-  return topo;
-}
-
-std::vector<int> PlanPinning(const CpuTopology& topo, int total_threads) {
-  // Pin only when every pool thread can own a whole physical core. With more
-  // threads than cores a pinned thread cannot migrate away from the
-  // contention it causes, and the OS scheduler beats any static placement —
-  // the measured pin_threads regression on small containers.
-  if (topo.physical_cores <= 0 || total_threads <= 0 || total_threads > topo.physical_cores) {
-    return {};
-  }
-  return topo.core_leaders;
-}
 
 namespace {
 
@@ -108,25 +21,15 @@ void NameWorker(const std::string& pool_name, int index) {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads) : ThreadPool(Options{num_threads, false, {}}) {}
+ThreadPool::ThreadPool(int num_threads) : ThreadPool(Options{num_threads, {}}) {}
 
 ThreadPool::ThreadPool(const Options& options) {
   const int workers = options.num_threads - 1;
-  // The caller participates in every batch, so the plan must cover
-  // workers + 1 busy threads; leaders[0] is left to the (unpinned) caller.
-  std::vector<int> plan;
-  if (options.pin_threads && workers > 0) {
-    plan = PlanPinning(DetectCpuTopology(), options.num_threads);
-  }
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this, name = options.name, i] {
       NameWorker(name, i);
       WorkerLoop();
     });
-    if (!plan.empty()) {
-      PinToCpu(workers_.back(), plan[static_cast<size_t>(i + 1) % plan.size()]);
-      ++pinned_workers_;
-    }
   }
 }
 
@@ -201,21 +104,11 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& bo
 
 TaskPool::TaskPool(const Options& options) {
   const int workers = options.num_threads < 1 ? 1 : options.num_threads;
-  // Unlike ThreadPool the caller never runs tasks, so the plan covers
-  // exactly the workers.
-  std::vector<int> plan;
-  if (options.pin_threads) {
-    plan = PlanPinning(DetectCpuTopology(), workers);
-  }
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this, name = options.name, i] {
       NameWorker(name, i);
       WorkerLoop();
     });
-    if (!plan.empty()) {
-      PinToCpu(workers_.back(), plan[static_cast<size_t>(i) % plan.size()]);
-      ++pinned_workers_;
-    }
   }
 }
 

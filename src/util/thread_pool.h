@@ -10,6 +10,10 @@
 // TaskPool is the asynchronous sibling under the campaign scheduler's shard
 // refreshes: Submit enqueues a task and returns immediately; completion is
 // whatever side effect the task performs (the shard pool pushes a done event).
+//
+// Neither pool sets CPU affinity; the OS scheduler places the workers. On the
+// pipeline bench's refresh-thread sweep (4-vCPU host), pinning each refresh
+// worker to its own core ran slower than OS placement at 1 and at 4 threads.
 #ifndef UNICORN_UTIL_THREAD_POOL_H_
 #define UNICORN_UTIL_THREAD_POOL_H_
 
@@ -25,47 +29,10 @@
 
 namespace unicorn {
 
-/// Snapshot of the CPU resources actually available to this process: the
-/// affinity mask (cgroup- and taskset-aware), the distinct physical cores
-/// behind it, and whether hyperthread siblings share those cores.
-struct CpuTopology {
-  int logical_cpus = 0;       // CPUs in the process affinity mask
-  int physical_cores = 0;     // distinct (package, core) pairs; 0 = unknown
-  bool smt_siblings = false;  // some physical core backs >1 allowed CPU
-  /// Lowest-numbered allowed logical CPU of each distinct physical core, in
-  /// CPU-id order — the pin targets that never straddle hyperthread siblings.
-  std::vector<int> core_leaders;
-};
-
-/// Reads the process affinity mask and sysfs core/package ids. Cheap enough
-/// to call at every pool construction; no caching. Non-Linux builds report
-/// hardware_concurrency with unknown core structure.
-CpuTopology DetectCpuTopology();
-
-/// Pin targets for a pool that will run `total_threads` busy threads, or
-/// empty when the pool should not pin at all. Pinning only pays off when
-/// every pool thread can own a whole physical core: if the core structure is
-/// unknown, or `total_threads` exceeds the distinct physical cores (the pool
-/// would oversubscribe, and a pinned thread cannot migrate away from the
-/// contention it causes — the failure mode behind the measured
-/// sweep_rt4_pinned regression on small containers), the plan is empty and
-/// the pool falls back to OS scheduling. Otherwise the plan is one logical
-/// CPU per physical core (`core_leaders`), so pinned threads never share a
-/// core with each other's hyperthread sibling.
-std::vector<int> PlanPinning(const CpuTopology& topo, int total_threads);
-
 /// Shared knobs of both pool flavors. Plain value type.
 struct ThreadPoolOptions {
   /// ThreadPool: workers + the calling thread; TaskPool: worker count.
   int num_threads = 1;
-  /// Pin each worker to one CPU via the OS affinity call, following
-  /// PlanPinning above: topology is detected at pool construction and the
-  /// request is silently skipped when the pool would oversubscribe the
-  /// physical cores or the topology is unreadable (pinned_workers() reports
-  /// what actually happened). Best-effort and off by default: pinning helps
-  /// steady refresh sweeps on large hosts but hurts whenever the pool shares
-  /// cores with other busy threads. Non-Linux builds ignore it.
-  bool pin_threads = false;
   /// Observability label for the pool's workers: worker i registers as
   /// "<name>/<i>" with the trace layer (obs::trace::SetThreadName), so spans
   /// recorded on pool threads land on named Perfetto tracks. Empty = workers
@@ -93,15 +60,9 @@ class ThreadPool {
   // Worker threads plus the calling thread.
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  // Workers actually pinned (0 when pin_threads was off or PlanPinning
-  // declined; the caller thread is never pinned).
-  int pinned_workers() const { return pinned_workers_; }
-
  private:
   void WorkerLoop();
   void RunBatch();
-
-  int pinned_workers_ = 0;
 
   std::vector<std::thread> workers_;
   std::mutex mu_;
@@ -147,14 +108,8 @@ class TaskPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Workers actually pinned (0 when pin_threads was off or PlanPinning
-  /// declined).
-  int pinned_workers() const { return pinned_workers_; }
-
  private:
   void WorkerLoop();
-
-  int pinned_workers_ = 0;
 
   struct QueuedTask {
     int64_t priority = 0;

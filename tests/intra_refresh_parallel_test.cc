@@ -1,7 +1,7 @@
-// Intra-refresh parallelism contract: the parallel Possible-D-SEP and
-// entropic phases, the buffered/lock-free CI cache tiers, and the
-// speculation accounting must all be invisible in the results — any engine
-// thread count reproduces the serial reference bit-for-bit, including the
+// Intra-refresh parallelism contract: the parallel skeleton level sweep and
+// entropic phase, the serial Possible-D-SEP phase that follows them, and the
+// concurrent CI cache must be invisible in the results — any engine thread
+// count reproduces the serial reference bit-for-bit, including the
 // test-call and cache-hit ledgers.
 #include <gtest/gtest.h>
 
@@ -223,7 +223,7 @@ TEST(IntraRefreshParallelTest, EngineRefreshBitIdenticalAcrossThreadCounts) {
     }
     engine.Refresh(411);
     // Second, warm refresh after appended rows: exercises Update(pool),
-    // warm-start dirty tracking, and the cache across a publish barrier.
+    // warm-start dirty tracking, and the cache across refreshes.
     for (size_t r = 0; r < 40; ++r) {
       engine.AddRow(world.data.Row(r % world.data.NumRows()));
     }
@@ -240,97 +240,9 @@ TEST(IntraRefreshParallelTest, EngineRefreshBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(IntraRefreshParallelTest, SpeculationAccountingIsInvisible) {
-  const World world = MeasuredWorld(SystemId::kXception, 150, 35);
-  const std::vector<std::vector<int>> sets = {{0}, {1}, {0, 1}, {2}, {1, 2}};
-  BatchedCIRequest req;
-  req.x = 0;
-  req.y = 3;
-  req.sets = &sets;
-  req.alpha = 0.05;
-
-  // Plain test: discard restores `calls` exactly; adopt matches the direct
-  // batched sweep.
-  {
-    const CompositeTest test(world.data);
-    CISpeculation spec;
-    test.SpeculateFirstIndependent(req, nullptr, &spec);
-    test.DiscardSpeculation(spec);
-    EXPECT_EQ(test.calls.load(), 0);
-
-    test.SpeculateFirstIndependent(req, nullptr, &spec);
-    test.AdoptSpeculation(spec, req);
-    const CompositeTest direct(world.data);
-    const int direct_idx = direct.FirstIndependent(req);
-    EXPECT_EQ(spec.first_independent, direct_idx);
-    EXPECT_EQ(test.calls.load(), direct.calls.load());
-  }
-
-  // Cached test: speculation probes quietly, so a discarded sweep leaves the
-  // decorator and the cache ledgers untouched; an adopted sweep replays them
-  // to exactly what a direct sweep would have recorded.
-  {
-    const CompositeTest inner(world.data);
-    CICache cache;
-    const CachedCITest cached(inner, &cache, world.data.NumRows());
-    // Warm the cache so the speculation has hits to account for.
-    const int warm_idx = cached.FirstIndependent(req);
-    cached.PublishPending();
-    const long long calls_before = cached.calls.load();
-    const long long inner_before = inner.calls.load();
-    const long long dec_hits_before = cached.hits();
-    const long long hits_before = cache.hits();
-    const long long lookups_before = cache.lookups();
-
-    CISpeculation spec;
-    cached.SpeculateFirstIndependent(req, nullptr, &spec);
-    EXPECT_EQ(spec.first_independent, warm_idx);
-    cached.DiscardSpeculation(spec);
-    EXPECT_EQ(cached.calls.load(), calls_before);
-    EXPECT_EQ(inner.calls.load(), inner_before);
-    EXPECT_EQ(cache.hits(), hits_before);
-    EXPECT_EQ(cache.lookups(), lookups_before);
-
-    cached.SpeculateFirstIndependent(req, nullptr, &spec);
-    cached.AdoptSpeculation(spec, req);
-    // A direct re-sweep on a second decorator over the same warm cache.
-    const CompositeTest inner2(world.data);
-    const CachedCITest direct(inner2, &cache, world.data.NumRows());
-    const int direct_idx = direct.FirstIndependent(req);
-    EXPECT_EQ(spec.first_independent, direct_idx);
-    EXPECT_EQ(cached.calls.load() - calls_before, direct.calls.load());
-    EXPECT_EQ(inner.calls.load() - inner_before, inner2.calls.load());
-    EXPECT_EQ(cached.hits() - dec_hits_before, direct.hits());
-  }
-}
-
-TEST(IntraRefreshParallelTest, WriteBufferVisibilityAndPublish) {
-  CICache cache;
-  CICache::WriteBuffer pending;
-  const CICache::Key key = CICache::MakeKey(1, 2, {3, 4}, 500, 99);
-  cache.StoreBuffered(key, 0.25, &pending);
-
-  // Visible to lookups that carry the buffer, invisible to everyone else.
-  const auto own = cache.LookupFrom(key, 0, &pending);
-  ASSERT_TRUE(own.has_value());
-  EXPECT_EQ(own->p_value, 0.25);
-  EXPECT_FALSE(own->cross_shard);
-  EXPECT_FALSE(cache.LookupFrom(key, 0).has_value());
-
-  // Publish is the phase barrier: afterwards the entry is shared state,
-  // attributed to the publishing shard.
-  cache.Publish(&pending, 7);
-  const auto shared = cache.LookupFrom(key, 0);
-  ASSERT_TRUE(shared.has_value());
-  EXPECT_EQ(shared->p_value, 0.25);
-  EXPECT_TRUE(shared->cross_shard);
-  EXPECT_FALSE(cache.LookupFrom(key, 7)->cross_shard);
-  EXPECT_EQ(cache.size(), 1u);
-}
-
-// TSan target: eight threads hammer the lock-free read path while buffering
-// private stores and publishing them at their own barriers, with a ninth
-// writer mutating the shared stripes throughout.
+// TSan target: eight threads hammer the lock-free read path while storing
+// private keys straight into the cache, with a ninth writer mutating the
+// shared stripes throughout.
 TEST(IntraRefreshParallelTest, ConcurrentFastPathReadHammer) {
   CICache cache;
   constexpr int kSharedKeys = 64;
@@ -342,7 +254,6 @@ TEST(IntraRefreshParallelTest, ConcurrentFastPathReadHammer) {
 
   constexpr int kThreads = 8;
   constexpr int kIters = 250;
-  std::array<CICache::WriteBuffer, kThreads> buffers;
   std::array<long long, kThreads> found{};
   std::atomic<bool> ok{true};
   std::vector<std::thread> threads;
@@ -351,7 +262,7 @@ TEST(IntraRefreshParallelTest, ConcurrentFastPathReadHammer) {
       long long local_found = 0;
       for (int iter = 0; iter < kIters; ++iter) {
         for (int k = 0; k < kSharedKeys; ++k) {
-          const auto hit = cache.LookupFrom(keys[k], /*shard=*/1, &buffers[t]);
+          const auto hit = cache.LookupFrom(keys[k], /*shard=*/1);
           if (hit.has_value()) {
             ++local_found;
             if (hit->p_value != 1e-3 * k) {
@@ -361,14 +272,12 @@ TEST(IntraRefreshParallelTest, ConcurrentFastPathReadHammer) {
         }
         const auto mine =
             CICache::MakeKey(100 + t, 200 + iter % 16, {3, 5}, 500, 7);
-        cache.StoreBuffered(mine, 0.5, &buffers[t]);
-        if (!cache.LookupFrom(mine, 1, &buffers[t]).has_value()) {
-          ok.store(false);  // own pending store must always be visible
+        cache.Store(mine, 0.5, static_cast<uint32_t>(t));
+        const auto own = cache.LookupFrom(mine, static_cast<uint32_t>(t));
+        if (!own.has_value() || own->p_value != 0.5 || own->cross_shard) {
+          ok.store(false);  // own store must be visible at once, shard-local
         }
       }
-      // Each thread publishes its own quiescent buffer while the others are
-      // still reading — the contract Publish documents.
-      cache.Publish(&buffers[t], static_cast<uint32_t>(t));
       found[t] = local_found;
     });
   }
@@ -390,7 +299,7 @@ TEST(IntraRefreshParallelTest, ConcurrentFastPathReadHammer) {
     // Pre-populated shared keys never disappear: every lookup must hit.
     EXPECT_EQ(found[t], static_cast<long long>(kSharedKeys) * kIters) << "thread " << t;
   }
-  // Every published private key is now globally visible.
+  // Every private key is visible to every shard.
   for (int t = 0; t < kThreads; ++t) {
     for (int i = 0; i < 16; ++i) {
       const auto key = CICache::MakeKey(100 + t, 200 + i, {3, 5}, 500, 7);

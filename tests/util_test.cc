@@ -217,71 +217,6 @@ TEST(TaskPoolTest, HigherPriorityOvertakesQueueFifoOnTies) {
   EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 4}));
 }
 
-// pin_threads is a best-effort hint: pools must construct and run work with
-// it on regardless of the host's affinity rights.
-TEST(ThreadPoolTest, PinnedPoolsStillRunWork) {
-  ThreadPool::Options options;
-  options.num_threads = 2;
-  options.pin_threads = true;
-  ThreadPool pool(options);
-  std::atomic<int> sum{0};
-  pool.ParallelFor(8, [&](size_t i) { sum.fetch_add(static_cast<int>(i)); });
-  EXPECT_EQ(sum.load(), 28);
-
-  TaskPool task_pool(options);
-  std::atomic<int> ran{0};
-  task_pool.Submit([&ran] { ran.fetch_add(1); });
-  task_pool.Drain();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(CpuTopologyTest, DetectionIsInternallyConsistent) {
-  const CpuTopology topo = DetectCpuTopology();
-  EXPECT_GE(topo.logical_cpus, 1);
-  if (topo.physical_cores > 0) {
-    EXPECT_LE(topo.physical_cores, topo.logical_cpus);
-    EXPECT_EQ(topo.core_leaders.size(), static_cast<size_t>(topo.physical_cores));
-    EXPECT_EQ(topo.smt_siblings, topo.logical_cpus > topo.physical_cores);
-    // Leaders are distinct CPUs, one per core.
-    for (size_t i = 1; i < topo.core_leaders.size(); ++i) {
-      EXPECT_NE(topo.core_leaders[i], topo.core_leaders[i - 1]);
-    }
-  } else {
-    EXPECT_TRUE(topo.core_leaders.empty());
-  }
-}
-
-TEST(CpuTopologyTest, PlanPinningDeclinesOversubscription) {
-  CpuTopology topo;
-  topo.logical_cpus = 8;
-  topo.physical_cores = 4;
-  topo.smt_siblings = true;
-  topo.core_leaders = {0, 2, 4, 6};
-  // Fits: one whole core per thread, never a hyperthread sibling.
-  EXPECT_EQ(PlanPinning(topo, 4), topo.core_leaders);
-  EXPECT_EQ(PlanPinning(topo, 1), topo.core_leaders);
-  // Oversubscribed or unknown: no pinning at all.
-  EXPECT_TRUE(PlanPinning(topo, 5).empty());
-  EXPECT_TRUE(PlanPinning(topo, 0).empty());
-  EXPECT_TRUE(PlanPinning(CpuTopology{}, 2).empty());
-}
-
-TEST(CpuTopologyTest, PoolsReportPinnedWorkers) {
-  const CpuTopology topo = DetectCpuTopology();
-  ThreadPool::Options options;
-  options.num_threads = 4;
-  options.pin_threads = true;
-  ThreadPool pool(options);
-  // Pinning happens exactly when the plan says this host can afford it.
-  const bool should_pin = !PlanPinning(topo, 4).empty();
-  EXPECT_EQ(pool.pinned_workers(), should_pin ? 3 : 0);
-
-  ThreadPool::Options unpinned;
-  unpinned.num_threads = 4;
-  ThreadPool plain(unpinned);
-  EXPECT_EQ(plain.pinned_workers(), 0);
-}
-
 TEST(TextTableTest, RendersHeaderAndRows) {
   TextTable table({"name", "value"});
   table.AddRow({"alpha", "1"});
