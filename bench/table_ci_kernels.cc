@@ -26,21 +26,35 @@
 //      and t=8 must be >= 2x faster per refresh than t=1 (full mode, hosts
 //      with >= 8 hardware threads).
 //
+//   5. Smoke gate (smoke mode with --gate-per-refresh; full runs record its
+//      baselines into the "smoke_gate" section): the smoke workloads'
+//      counted work — CI tests requested, evaluated and served from the
+//      cache in each refresh of the thread-scaling runs at t = 1/2/4/8 —
+//      must equal the recorded counts exactly, and the smoke per-refresh
+//      CPU time, divided by a host calibration timed in the same run, must
+//      stay within the multiplier of the recorded ratio.
+//
 // Flags: --smoke (CI-sized workload), --json <path> (machine-readable
 // results, bench name "table_ci_kernels"), --gate-per-refresh <mult> (smoke
-// mode: fail if per-refresh exceeds mult x the recorded
-// smoke_per_refresh_seconds baseline), --trace/--metrics <path>
-// (observability artifacts; see docs/OBSERVABILITY.md).
+// mode: arm the smoke gate against BENCH_table_ci_kernels.json in the
+// working directory), --trace/--metrics <path> (observability artifacts;
+// see docs/OBSERVABILITY.md).
 #include <charconv>
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <fstream>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/common.h"
@@ -63,29 +77,36 @@ using Clock = std::chrono::steady_clock;
 // for runs from outside the repo root.
 constexpr double kFallbackBaselinePerRefresh = 0.39761345679999993;
 
+// The recorded results the smoke gate compares against.
+constexpr char kRecordedJson[] = "BENCH_table_ci_kernels.json";
+
 // One double out of a recorded bench JSON by key name (string search — the
-// bench JSON writer emits every key exactly once). `fallback` when the file
-// or the key is absent.
-double ReadBaselineKey(const std::string& path, const std::string& key_name, double fallback) {
+// bench JSON writer emits every key exactly once). Empty when the file or
+// the key is absent.
+std::optional<double> ReadRecordedKey(const std::string& path, const std::string& key_name) {
   std::ifstream in(path);
   if (!in) {
-    return fallback;
+    return std::nullopt;
   }
   std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   const std::string key = "\"" + key_name + "\": ";
   const size_t pos = text.find(key);
   if (pos == std::string::npos) {
-    return fallback;
+    return std::nullopt;
   }
   const char* begin = text.data() + pos + key.size();
   const char* end = text.data() + text.size();
   double value = 0.0;
   const auto result = std::from_chars(begin, end, value);
-  return result.ec == std::errc() && value > 0.0 ? value : fallback;
+  if (result.ec != std::errc()) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 double ReadBaselinePerRefresh(const std::string& path, double fallback) {
-  return ReadBaselineKey(path, "incremental_per_refresh_seconds", fallback);
+  const std::optional<double> value = ReadRecordedKey(path, "incremental_per_refresh_seconds");
+  return value && *value > 0.0 ? *value : fallback;
 }
 
 int64_t UlpDistance(double a, double b) {
@@ -235,13 +256,76 @@ bool RunKernelSelfCheck(bool smoke, int64_t* max_ulp_out, bool* graphs_identical
   return ok;
 }
 
-// The Table-3 incremental debugging workload, timed per model refresh.
-// `gate_multiplier` > 0 turns the smoke-sized run into a perf-regression
-// gate: per-refresh must stay within that multiple of the recorded
-// smoke_per_refresh_seconds baseline (BENCH_table_ci_kernels.json).
-// `per_refresh_out` (optional) reports the measured per-refresh seconds.
-bool RunPerRefreshStudy(bool smoke, bench::JsonResults* json, double gate_multiplier,
-                        double* per_refresh_out) {
+// One run of the Table-3 incremental debugging workload.
+struct RefreshCampaign {
+  double wall_seconds = 0.0;  // the whole Debug call
+  double cpu_seconds = 0.0;   // process CPU over the Debug call, all threads
+  EngineStats stats;
+
+  double CpuPerRefresh() const {
+    return stats.refreshes > 0 ? cpu_seconds / static_cast<double>(stats.refreshes) : 0.0;
+  }
+};
+
+// Host calibration for the smoke time gate: CPU seconds of a fixed
+// single-threaded mix of what a refresh spends its time on — floating-point
+// reductions, integer histogram counting with entropy terms, and hash-map
+// lookups under a mutex. It calls no library code, so no change to the code
+// under test moves it; dividing the smoke workload's time by it takes most
+// of the host's speed out of the gate.
+double CalibrationCpuSeconds() {
+  constexpr size_t kRows = 4096;  // power of two: indices wrap by mask
+  constexpr int kRounds = 3000;
+  uint64_t state = 0x9e3779b97f4a7c15ULL;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  std::vector<double> a(kRows);
+  std::vector<double> b(kRows);
+  std::vector<uint8_t> codes(kRows);
+  for (size_t r = 0; r < kRows; ++r) {
+    a[r] = static_cast<double>(next() >> 11) * 0x1.0p-53;
+    b[r] = static_cast<double>(next() >> 11) * 0x1.0p-53;
+    codes[r] = static_cast<uint8_t>(next() % 27);
+  }
+  std::unordered_map<uint64_t, double> memo;
+  std::mutex mu;
+  double sink = 0.0;
+  const std::clock_t start = std::clock();
+  for (int round = 0; round < kRounds; ++round) {
+    double dot = 0.0;
+    std::array<int, 27> counts{};
+    for (size_t r = 0; r < kRows; ++r) {
+      const size_t j = (r + static_cast<size_t>(round)) & (kRows - 1);
+      dot += a[r] * b[j];
+      ++counts[codes[j]];
+    }
+    for (const int c : counts) {
+      sink += c > 0 ? c * std::log(static_cast<double>(c)) : 0.0;
+    }
+    for (int q = 0; q < 64; ++q) {
+      std::lock_guard<std::mutex> lock(mu);
+      sink += memo.emplace(next() % 4096, dot).first->second;
+    }
+  }
+  const double seconds = static_cast<double>(std::clock() - start) / CLOCKS_PER_SEC;
+  volatile double keep = sink;  // the loop's result must stay observable
+  (void)keep;
+  return seconds;
+}
+
+// The Table-3 incremental debugging workload (SQLite, extended options,
+// stateful engine with warm starts + CI cache, `engine_threads` sweep
+// threads), run `repetitions` times on one curated fault. With
+// `calibration` non-null, the host calibration is timed before each
+// campaign and after the last one, so every campaign is bracketed by two
+// calibrations taken under the same host conditions. Empty when no latency
+// fault was curated.
+std::vector<RefreshCampaign> RunRefreshCampaigns(bool smoke, int engine_threads, int repetitions,
+                                                 std::vector<double>* calibration) {
   SystemSpec spec;
   spec.num_events = smoke ? 19 : 288;
   spec.extended_options = true;
@@ -255,7 +339,7 @@ bool RunPerRefreshStudy(bool smoke, bench::JsonResults* json, double gate_multip
   const auto faults = bench::SelectFaults(*model, curation, bench::FaultKind::kLatency, 1);
   if (faults.empty()) {
     std::printf("(no curated latency fault; skipping the speed study)\n");
-    return true;
+    return {};
   }
   const auto goals = GoalsForFault(curation, faults[0], 0.02);
 
@@ -271,23 +355,47 @@ bool RunPerRefreshStudy(bool smoke, bench::JsonResults* json, double gate_multip
   options.model.entropic.latent.iterations = 20;
   options.engine.stale_epsilon = 0.05;
   options.engine.full_refresh_every = 8;
-  options.engine.num_threads = 4;
+  options.engine.num_threads = engine_threads;
   options.engine.use_ci_cache = true;
 
   const PerformanceTask task = MakeSimulatedTask(model, Xavier(), DefaultWorkload(), 900);
-  UnicornDebugger debugger(task, options);
-  const auto start = Clock::now();
-  const DebugResult result = debugger.Debug(faults[0].config, goals);
-  const double seconds = std::chrono::duration<double>(Clock::now() - start).count();
-  const EngineStats& stats = result.engine_stats;
+  std::vector<RefreshCampaign> campaigns;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    if (calibration != nullptr) {
+      calibration->push_back(CalibrationCpuSeconds());
+    }
+    UnicornDebugger debugger(task, options);
+    const auto start = Clock::now();
+    const std::clock_t cpu_start = std::clock();
+    const DebugResult result = debugger.Debug(faults[0].config, goals);
+    RefreshCampaign campaign;
+    campaign.cpu_seconds = static_cast<double>(std::clock() - cpu_start) / CLOCKS_PER_SEC;
+    campaign.wall_seconds = std::chrono::duration<double>(Clock::now() - start).count();
+    campaign.stats = result.engine_stats;
+    campaigns.push_back(campaign);
+  }
+  if (calibration != nullptr) {
+    calibration->push_back(CalibrationCpuSeconds());
+  }
+  return campaigns;
+}
+
+// The Table-3 incremental debugging workload, timed per model refresh.
+bool RunPerRefreshStudy(bool smoke, bench::JsonResults* json) {
+  const std::vector<RefreshCampaign> campaigns = RunRefreshCampaigns(smoke, 4, 1, nullptr);
+  if (campaigns.empty()) {
+    return true;
+  }
+  const RefreshCampaign& campaign = campaigns[0];
+  const EngineStats& stats = campaign.stats;
   const double per_refresh =
       stats.refreshes > 0 ? stats.total_seconds / static_cast<double>(stats.refreshes) : 0.0;
 
   const double baseline =
       ReadBaselinePerRefresh("BENCH_table3_scalability.json", kFallbackBaselinePerRefresh);
   const double speedup = per_refresh > 0.0 ? baseline / per_refresh : 0.0;
-  std::printf("%6.2fs end-to-end | %.4fs per refresh | engine %s\n", seconds, per_refresh,
-              obs::DumpStatsJson(stats).c_str());
+  std::printf("%6.2fs end-to-end | %.4fs per refresh | engine %s\n", campaign.wall_seconds,
+              per_refresh, obs::DumpStatsJson(stats).c_str());
   if (smoke) {
     std::printf("per-refresh: %.4fs (smoke workload — not comparable to the recorded "
                 "full-size baseline)\n",
@@ -298,34 +406,13 @@ bool RunPerRefreshStudy(bool smoke, bench::JsonResults* json, double gate_multip
                 baseline, per_refresh, speedup);
   }
   if (json != nullptr) {
-    json->Add("per_refresh", "end_to_end_seconds", seconds);
+    json->Add("per_refresh", "end_to_end_seconds", campaign.wall_seconds);
     json->Add("per_refresh", "discovery_seconds", stats.total_seconds);
     json->Add("per_refresh", "refreshes", static_cast<double>(stats.refreshes));
     json->Add("per_refresh", "per_refresh_seconds", per_refresh);
     json->Add("per_refresh", "baseline_per_refresh_seconds", baseline);
     json->Add("per_refresh", "speedup_vs_baseline", speedup);
     json->Add("per_refresh", "smoke", smoke ? 1.0 : 0.0);
-  }
-  if (per_refresh_out != nullptr) {
-    *per_refresh_out = per_refresh;
-  }
-  // Wall-clock numbers never fail the run — except under an explicit
-  // --gate-per-refresh, where CI trades a generous multiplier for an early
-  // tripwire on per-refresh regressions.
-  if (smoke && gate_multiplier > 0.0) {
-    const double smoke_baseline =
-        ReadBaselineKey("BENCH_table_ci_kernels.json", "smoke_per_refresh_seconds", 0.0);
-    if (smoke_baseline <= 0.0) {
-      std::printf("per-refresh gate: no recorded smoke baseline; gate skipped\n");
-    } else if (per_refresh > gate_multiplier * smoke_baseline) {
-      std::fprintf(stderr,
-                   "PER-REFRESH REGRESSION: %.4fs > %.2fx the recorded smoke baseline %.4fs\n",
-                   per_refresh, gate_multiplier, smoke_baseline);
-      return false;
-    } else {
-      std::printf("per-refresh gate: %.4fs within %.2fx of the recorded %.4fs baseline\n",
-                  per_refresh, gate_multiplier, smoke_baseline);
-    }
   }
   return true;
 }
@@ -373,12 +460,20 @@ DataTable ScalingTable(size_t num_vars, size_t rows) {
   return t;
 }
 
+// CI tests requested, evaluated and served from the cache in one refresh.
+struct RefreshCounts {
+  long long requested = 0;
+  long long evaluated = 0;
+  long long hits = 0;
+};
+
 struct ScalingRun {
   double per_refresh = 0.0;
   MixedGraph admg;
   long long requested = 0;
   long long evaluated = 0;
   long long hits = 0;
+  std::array<RefreshCounts, 2> refreshes;  // the cold and the warm refresh
 };
 
 ScalingRun RunScalingAt(const DataTable& base, const DataTable& extra, int threads) {
@@ -394,12 +489,17 @@ ScalingRun RunScalingAt(const DataTable& base, const DataTable& extra, int threa
   eo.num_threads = threads;
   eo.use_ci_cache = true;
   CausalModelEngine engine(base.Variables(), mo, eo);
+  ScalingRun run;
+  const EngineStats& stats = engine.stats();
+  const auto count_refresh = [&](size_t i) {
+    run.refreshes[i] = {stats.tests_requested, stats.tests_evaluated, stats.cache_hits};
+  };
   engine.AppendRows(base);
   engine.Refresh(311);
+  count_refresh(0);
   engine.AppendRows(extra);  // second refresh exercises the warm paths too
   engine.Refresh(312);
-  const EngineStats& stats = engine.stats();
-  ScalingRun run;
+  count_refresh(1);
   run.per_refresh =
       stats.refreshes > 0 ? stats.total_seconds / static_cast<double>(stats.refreshes) : 0.0;
   run.admg = engine.model().admg;
@@ -409,7 +509,11 @@ ScalingRun RunScalingAt(const DataTable& base, const DataTable& extra, int threa
   return run;
 }
 
-bool RunThreadScalingStudy(bool smoke, bench::JsonResults* json) {
+const std::vector<int> kScalingThreads = {1, 2, 4, 8};
+
+// `runs_out` receives one run per entry of kScalingThreads.
+bool RunThreadScalingStudy(bool smoke, bench::JsonResults* json,
+                           std::vector<ScalingRun>* runs_out) {
   const size_t num_vars = smoke ? 15 : 21;
   const size_t rows = smoke ? 160 : 320;
   const DataTable all = ScalingTable(num_vars, rows + rows / 2);
@@ -423,8 +527,9 @@ bool RunThreadScalingStudy(bool smoke, bench::JsonResults* json) {
   std::printf("\n=== Intra-refresh thread scaling (PDS-heavy, %zu vars, %zu rows) ===\n",
               num_vars, all.NumRows());
 
-  const std::vector<int> thread_counts = {1, 2, 4, 8};
-  std::vector<ScalingRun> runs;
+  const std::vector<int>& thread_counts = kScalingThreads;
+  std::vector<ScalingRun>& runs = *runs_out;
+  runs.clear();
   for (int t : thread_counts) {
     runs.push_back(RunScalingAt(base, extra, t));
   }
@@ -468,6 +573,103 @@ bool RunThreadScalingStudy(bool smoke, bench::JsonResults* json) {
   } else {
     std::printf("(t=8 >= 2x timing gate %s; bit-identity gates always apply)\n",
                 smoke ? "skipped in smoke mode" : "needs >= 8 hardware threads");
+  }
+  return ok;
+}
+
+// --- Smoke gate -------------------------------------------------------------
+//
+// Two host-independent checks of the smoke workloads, both recorded by full
+// runs into the "smoke_gate" section and armed by --gate-per-refresh:
+//   - counted work (exact): per-refresh requested/evaluated/hit counts of
+//     the smoke thread-scaling runs are deterministic, so any change in what
+//     the engine asks of the cache, or what the cache serves, shows up;
+//   - calibrated time: the smoke per-refresh CPU time over the same run's
+//     host calibration (median over kGateRepetitions campaigns, each
+//     bracketed by calibrations) must stay within the multiplier of the
+//     recorded ratio. The timed campaigns run one sweep thread: the CPU
+//     time of a 4-thread refresh moved by 10-25% with load from other
+//     tenants of the host, the single-threaded one by about 3%.
+
+constexpr int kGateRepetitions = 15;
+
+std::string CountKey(const char* field, size_t refresh, int threads) {
+  return std::string(field) + "_r" + std::to_string(refresh + 1) + "_t" +
+         std::to_string(threads);
+}
+
+// `smoke_runs`: the smoke-sized thread-scaling runs. `gate_multiplier` > 0
+// arms the gate against the recorded JSON; otherwise this only measures.
+bool RunSmokeGate(const std::vector<ScalingRun>& smoke_runs, bench::JsonResults* json,
+                  double gate_multiplier) {
+  std::vector<double> calibration;
+  const std::vector<RefreshCampaign> campaigns =
+      RunRefreshCampaigns(true, 1, kGateRepetitions, &calibration);
+  if (campaigns.empty()) {
+    return true;
+  }
+  // Each campaign's CPU per refresh over the mean of its two bracketing
+  // calibrations; the median of these ratios is what the gate compares.
+  std::vector<double> ratios;
+  for (size_t i = 0; i < campaigns.size(); ++i) {
+    const double host = 0.5 * (calibration[i] + calibration[i + 1]);
+    ratios.push_back(host > 0.0 ? campaigns[i].CpuPerRefresh() / host : 0.0);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double calibrated = ratios[ratios.size() / 2];
+  std::printf("\n=== Smoke gate ===\ncalibrated per refresh %.4f (median of %d; range "
+              "%.4f-%.4f)\n",
+              calibrated, kGateRepetitions, ratios.front(), ratios.back());
+
+  std::vector<std::pair<std::string, long long>> counts;
+  for (size_t i = 0; i < smoke_runs.size(); ++i) {
+    for (size_t r = 0; r < smoke_runs[i].refreshes.size(); ++r) {
+      const RefreshCounts& c = smoke_runs[i].refreshes[r];
+      counts.emplace_back(CountKey("requested", r, kScalingThreads[i]), c.requested);
+      counts.emplace_back(CountKey("evaluated", r, kScalingThreads[i]), c.evaluated);
+      counts.emplace_back(CountKey("hits", r, kScalingThreads[i]), c.hits);
+    }
+  }
+  if (json != nullptr) {
+    json->Add("smoke_gate", "calibrated_per_refresh", calibrated);
+    for (const auto& [key, value] : counts) {
+      json->Add("smoke_gate", key, static_cast<double>(value));
+    }
+  }
+  if (gate_multiplier <= 0.0) {
+    return true;
+  }
+  if (!std::ifstream(kRecordedJson)) {
+    std::printf("smoke gate: no recorded %s in the working directory; gate skipped\n",
+                kRecordedJson);
+    return true;
+  }
+  bool ok = true;
+  for (const auto& [key, value] : counts) {
+    const std::optional<double> recorded = ReadRecordedKey(kRecordedJson, key);
+    if (!recorded || static_cast<long long>(*recorded) != value) {
+      std::fprintf(stderr, "COUNTED-WORK CHANGE: %s = %lld, recorded %s\n", key.c_str(), value,
+                   recorded ? std::to_string(static_cast<long long>(*recorded)).c_str()
+                            : "(missing)");
+      ok = false;
+    }
+  }
+  if (ok) {
+    std::printf("counted-work gate: %zu per-refresh counts equal the recorded ones\n",
+                counts.size());
+  }
+  const std::optional<double> recorded = ReadRecordedKey(kRecordedJson, "calibrated_per_refresh");
+  if (!recorded || *recorded <= 0.0) {
+    std::fprintf(stderr, "PER-REFRESH GATE: no recorded calibrated_per_refresh\n");
+    ok = false;
+  } else if (calibrated > gate_multiplier * *recorded) {
+    std::fprintf(stderr,
+                 "PER-REFRESH REGRESSION: calibrated %.4f > %.2fx the recorded %.4f\n",
+                 calibrated, gate_multiplier, *recorded);
+    ok = false;
+  } else {
+    std::printf("per-refresh gate: calibrated %.4f within %.2fx of the recorded %.4f\n",
+                calibrated, gate_multiplier, *recorded);
   }
   return ok;
 }
@@ -614,17 +816,17 @@ int main(int argc, char** argv) {
     json_ptr->Add("self_check", "fisher_max_corr_ulp", static_cast<double>(max_ulp));
     json_ptr->Add("self_check", "discovery_graphs_identical", graphs_identical ? 1.0 : 0.0);
   }
-  ok = unicorn::RunPerRefreshStudy(smoke, json_ptr, gate_per_refresh, nullptr) && ok;
+  ok = unicorn::RunPerRefreshStudy(smoke, json_ptr) && ok;
+  std::vector<unicorn::ScalingRun> scaling_runs;
+  ok = unicorn::RunThreadScalingStudy(smoke, json_ptr, &scaling_runs) && ok;
   if (!smoke) {
-    // Full runs also record the smoke-sized per-refresh cost, so the seeded
-    // JSON carries the baseline the CI smoke gate compares against.
-    double smoke_per_refresh = 0.0;
-    ok = unicorn::RunPerRefreshStudy(true, nullptr, 0.0, &smoke_per_refresh) && ok;
-    if (json_ptr != nullptr) {
-      json_ptr->Add("per_refresh", "smoke_per_refresh_seconds", smoke_per_refresh);
-    }
+    // Full runs also record the smoke gate's baselines into the JSON, so
+    // the seeded file carries what the CI smoke gate compares against.
+    ok = unicorn::RunThreadScalingStudy(true, nullptr, &scaling_runs) && ok;
   }
-  ok = unicorn::RunThreadScalingStudy(smoke, json_ptr) && ok;
+  if (!smoke || gate_per_refresh > 0.0) {
+    ok = unicorn::RunSmokeGate(scaling_runs, json_ptr, smoke ? gate_per_refresh : 0.0) && ok;
+  }
   ok = unicorn::RunWarmCacheCampaign(smoke, json_ptr) && ok;
   if (int rc = obs_cli.End(); rc != 0) {
     return rc;

@@ -16,18 +16,6 @@ namespace {
 //                   u32 s_size | 8 × u32 s[i] | f64 p_value
 constexpr char kCacheMagic[8] = {'U', 'N', 'C', 'I', 'C', 'H', 'E', '1'};
 
-double BitsToDouble(uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
-uint64_t DoubleToBits(double d) {
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return bits;
-}
-
 }  // namespace
 
 CICache::Key CICache::MakeKey(int x, int y, const std::vector<int>& s, uint64_t n_rows,
@@ -73,21 +61,6 @@ size_t CICache::KeyHash::operator()(const Key& k) const {
   return static_cast<size_t>(h);
 }
 
-void CICache::PackKey(const Key& key, std::array<uint64_t, 8>* words) {
-  // Trailing s[] entries beyond s_size are zero by construction (MakeKey and
-  // LoadFrom both leave them value-initialized), so the 8-word compare is
-  // exactly key equality.
-  (*words)[0] = key.table_tag;
-  (*words)[1] = (static_cast<uint64_t>(static_cast<uint32_t>(key.x)) << 32) |
-                static_cast<uint32_t>(key.y);
-  (*words)[2] = key.n_rows;
-  (*words)[3] = key.s_size;
-  for (size_t i = 0; i < 4; ++i) {
-    (*words)[4 + i] = (static_cast<uint64_t>(static_cast<uint32_t>(key.s[2 * i])) << 32) |
-                      static_cast<uint32_t>(key.s[2 * i + 1]);
-  }
-}
-
 long long CICache::SumCells(const CounterCells& cells) {
   long long total = 0;
   for (const CounterCell& cell : cells) {
@@ -105,125 +78,10 @@ void CICache::BumpCell(CounterCells& cells, long long delta) {
   cells[lane].v.fetch_add(delta, std::memory_order_relaxed);
 }
 
-CICache::ReadSlot* CICache::EnsureReadTable() {
-  ReadSlot* table = read_table_.load(std::memory_order_acquire);
-  if (table != nullptr) {
-    return table;
-  }
-  std::lock_guard<std::mutex> lock(read_init_mu_);
-  table = read_table_.load(std::memory_order_relaxed);
-  if (table == nullptr) {
-    read_table_storage_.reset(new ReadSlot[kReadSlots]);
-    filled_slots_.reset(new uint32_t[kReadSlots]);
-    table = read_table_storage_.get();
-    read_table_.store(table, std::memory_order_release);
-  }
-  return table;
-}
-
-std::optional<CICache::Hit> CICache::ProbeReadTable(const Key& key, uint32_t shard) const {
-  const ReadSlot* table = read_table_.load(std::memory_order_acquire);
-  if (table == nullptr) {
-    return std::nullopt;  // nothing stored yet anywhere
-  }
-  std::array<uint64_t, 8> w;
-  PackKey(key, &w);
-  const size_t h = KeyHash{}(key);
-  constexpr size_t mask = kReadSlots - 1;
-  for (size_t probe = 0; probe < kReadProbes; ++probe) {
-    const ReadSlot& slot = table[(h + probe) & mask];
-    const uint32_t s1 = slot.seq.load(std::memory_order_acquire);
-    if (s1 == 0) {
-      return std::nullopt;  // inserts claim the first empty slot in-window
-    }
-    if ((s1 & 1u) != 0) {
-      continue;  // mid-write; the authoritative tier will answer
-    }
-    bool match = true;
-    for (size_t i = 0; i < w.size(); ++i) {
-      if (slot.words[i].load(std::memory_order_relaxed) != w[i]) {
-        match = false;
-        break;
-      }
-    }
-    const uint64_t p_bits = slot.p_bits.load(std::memory_order_relaxed);
-    const uint32_t stored_shard = slot.shard.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (slot.seq.load(std::memory_order_relaxed) != s1) {
-      continue;  // torn by a concurrent replacement; treat as a miss here
-    }
-    if (!match) {
-      continue;
-    }
-    Hit hit;
-    hit.p_value = BitsToDouble(p_bits);
-    hit.cross_shard = stored_shard != shard;
-    return hit;
-  }
-  return std::nullopt;
-}
-
-void CICache::InsertReadTable(const Key& key, double p_value, uint32_t shard) {
-  ReadSlot* table = EnsureReadTable();
-  std::array<uint64_t, 8> w;
-  PackKey(key, &w);
-  const size_t h = KeyHash{}(key);
-  constexpr size_t mask = kReadSlots - 1;
-  const auto fill = [&](ReadSlot& slot, uint32_t claimed_seq) {
-    for (size_t i = 0; i < w.size(); ++i) {
-      slot.words[i].store(w[i], std::memory_order_relaxed);
-    }
-    slot.p_bits.store(DoubleToBits(p_value), std::memory_order_relaxed);
-    slot.shard.store(shard, std::memory_order_relaxed);
-    slot.seq.store(claimed_seq + 1, std::memory_order_release);  // back to even
-  };
-  for (size_t probe = 0; probe < kReadProbes; ++probe) {
-    const size_t index = (h + probe) & mask;
-    ReadSlot& slot = table[index];
-    uint32_t s = slot.seq.load(std::memory_order_acquire);
-    if ((s & 1u) != 0) {
-      continue;  // another writer owns it right now
-    }
-    if (s == 0) {
-      // Claim the empty slot. Losing the race just means someone else filled
-      // it; re-examine it as an occupied slot.
-      if (slot.seq.compare_exchange_strong(s, 1u, std::memory_order_acq_rel)) {
-        filled_slots_[num_filled_.fetch_add(1, std::memory_order_relaxed)] =
-            static_cast<uint32_t>(index);
-        fill(slot, 1u);
-        return;
-      }
-      continue;
-    }
-    bool match = true;
-    for (size_t i = 0; i < w.size(); ++i) {
-      if (slot.words[i].load(std::memory_order_relaxed) != w[i]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) {
-      return;  // already cached (the test is deterministic: same value)
-    }
-  }
-  // Window full of other keys: displace the home slot (newest-wins keeps the
-  // hot working set resident). Opportunistic — give up silently on a race;
-  // the authoritative tier holds the entry either way.
-  ReadSlot& slot = table[h & mask];
-  uint32_t s = slot.seq.load(std::memory_order_relaxed);
-  if ((s & 1u) != 0) {
-    return;
-  }
-  if (!slot.seq.compare_exchange_strong(s, s + 1, std::memory_order_acq_rel)) {
-    return;
-  }
-  fill(slot, s + 1);
-}
-
 std::optional<CICache::Hit> CICache::LookupFrom(const Key& key, uint32_t shard) {
   BumpCell(lookup_cells_, 1);
-  std::optional<Hit> hit = ProbeReadTable(key, shard);
-  if (!hit) {
+  Hit hit;
+  {
     const Stripe& stripe = StripeFor(key);
     std::lock_guard<std::mutex> lock(stripe.mu);
     const auto it = stripe.map.find(key);
@@ -233,27 +91,23 @@ std::optional<CICache::Hit> CICache::LookupFrom(const Key& key, uint32_t shard) 
     hit = Hit{it->second.p_value, it->second.shard != shard};
   }
   BumpCell(hit_cells_, 1);
-  if (hit->cross_shard) {
+  if (hit.cross_shard) {
     BumpCell(cross_cells_, 1);
   }
   return hit;
 }
 
 void CICache::Store(const Key& key, double p_value, uint32_t shard) {
-  {
-    Stripe& stripe = StripeFor(key);
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    if (max_entries_ > 0 && stripe.map.size() >= std::max<size_t>(1, max_entries_ / kStripes)) {
-      // Coarse per-stripe eviction: drop the stripe and start over. Entries
-      // are pure memoization, so losing them costs re-evaluation, never
-      // correctness; tracking recency on the hot path would cost more than
-      // the occasional refill. (The read table is deliberately left alone —
-      // a resident copy of an evicted entry still serves the same value.)
-      stripe.map.clear();
-    }
-    stripe.map.emplace(key, Entry{p_value, shard});
+  Stripe& stripe = StripeFor(key);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  if (max_entries_ > 0 && stripe.map.size() >= std::max<size_t>(1, max_entries_ / kStripes)) {
+    // Coarse per-stripe eviction: drop the stripe and start over. Entries
+    // are pure memoization, so losing them costs re-evaluation, never
+    // correctness; tracking recency on the hot path would cost more than
+    // the occasional refill.
+    stripe.map.clear();
   }
-  InsertReadTable(key, p_value, shard);
+  stripe.map.emplace(key, Entry{p_value, shard});
 }
 
 size_t CICache::size() const {
@@ -269,18 +123,6 @@ void CICache::Clear() {
   for (Stripe& stripe : stripes_) {
     std::lock_guard<std::mutex> lock(stripe.mu);
     stripe.map.clear();
-  }
-  // Quiescence is the caller's contract (see header): with no concurrent
-  // readers or writers, resetting slots to their empty state is safe. Only
-  // the slots filled since the last Clear can be non-empty.
-  ReadSlot* table = read_table_.load(std::memory_order_acquire);
-  if (table != nullptr) {
-    const uint32_t filled = num_filled_.load(std::memory_order_relaxed);
-    for (uint32_t i = 0; i < filled; ++i) {
-      table[filled_slots_[i]].seq.store(0, std::memory_order_relaxed);
-    }
-    num_filled_.store(0, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
   }
 }
 

@@ -17,17 +17,11 @@
 // the same tag and share hits; the first divergent row changes the tag
 // forever after, so a stale cross-shard result can never be served.
 //
-// The cache is concurrent, with two tiers on the read path:
-//   1. A lock-free read table: a fixed-size open-addressed array of seqlock
-//      slots holding the hottest entries. Readers never take a lock and
-//      never write shared cache state, so eight sweep threads probing one
-//      cache stop serializing on stripe mutexes. It is a pure accelerator —
-//      a miss (empty slot, torn read, evicted entry) falls through to tier 2,
-//      so hit accounting never depends on it. Its ~2.7 MB of slots are
-//      allocated once, on first need; ReserveReadTable lets the thread that
-//      drives a refresh do that before its sweep workers store (see there).
-//   2. The authoritative striped-lock maps. Every store lands here and in
-//      the read table, so a stored entry is visible to every caller at once.
+// The cache is concurrent and has one tier: striped-lock maps serve every
+// lookup and every store, so a stored entry is visible to every caller at
+// once. Hits take the stripe mutex too: a lock-free read tier in front of
+// the maps saved no measurable CPU on the benchmark workloads and cost
+// 3-23% of their peak RSS (docs/REASONING_PLANE.md, "One cache path").
 //
 // Every entry remembers which shard stored it so cross-shard hits ("how many
 // tests did the shared cache buy?") are accounted separately from
@@ -39,7 +33,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -112,27 +105,15 @@ class CICache {
   // stored by a shard other than `shard`.
   std::optional<Hit> LookupFrom(const Key& key, uint32_t shard);
   void Store(const Key& key, double p_value, uint32_t shard = 0);
-  // Allocates the read table on the calling thread unless it exists. Left to
-  // the first Store, a sweep worker would allocate it: glibc then serves it
-  // from that worker's malloc arena, and each worker arena keeps its own
-  // high-water copy (peak RSS of a small debug campaign more than doubled).
-  // CachedCITest calls this from its constructor, on the thread driving the
-  // refresh. The CICache constructor does not, so that shared caches no
-  // refresh consults never pay for the table.
-  void ReserveReadTable() { EnsureReadTable(); }
 
   long long hits() const { return SumCells(hit_cells_); }
   long long lookups() const { return SumCells(lookup_cells_); }
   // Hits on entries another shard paid for — the shared-cache dividend.
   long long cross_shard_hits() const { return SumCells(cross_cells_); }
   size_t size() const;
-  // Drops every entry (striped maps and the read table; only the read slots
-  // filled since the last Clear are reset, so clearing after a small
-  // refresh is cheap). Requires external quiescence: no concurrent lookups
+  // Drops every entry. Requires external quiescence: no concurrent lookups
   // or stores (the engine clears its private cache only between sweeps; the
-  // shared cache is never cleared mid-flight). The read-table seqlocks
-  // restart from their empty state, so a racing reader could otherwise see
-  // a torn refill as stable.
+  // shared cache is never cleared mid-flight).
   void Clear();
   void ResetCounters();
 
@@ -163,22 +144,6 @@ class CICache {
     std::unordered_map<Key, Entry, KeyHash> map;
   };
 
-  // Lock-free read tier: open-addressed seqlock slots. A slot is empty while
-  // seq == 0, mid-write while seq is odd, stable otherwise; writers only
-  // ever move seq forward (except under the quiescent Clear), so a reader
-  // that sees the same even seq before and after its field loads saw a
-  // consistent snapshot. The key is pre-packed into 8 words (trailing s[]
-  // entries are zero by construction) so the compare is branch-light.
-  struct ReadSlot {
-    std::atomic<uint32_t> seq{0};
-    std::atomic<uint32_t> shard{0};
-    std::atomic<uint64_t> p_bits{0};
-    std::array<std::atomic<uint64_t>, 8> words{};
-  };
-  static constexpr size_t kReadSlotsLog2 = 15;  // 32768 slots, ~2.8 MiB, lazy
-  static constexpr size_t kReadSlots = size_t{1} << kReadSlotsLog2;
-  static constexpr size_t kReadProbes = 8;  // linear probe window
-
   // Sharded counter cells: each thread bumps a (sticky, thread-local) cell,
   // totals are summed on read. Padded to a cache line each.
   struct alignas(64) CounterCell {
@@ -187,27 +152,14 @@ class CICache {
   static constexpr size_t kCounterCells = 8;
   using CounterCells = std::array<CounterCell, kCounterCells>;
 
-  static void PackKey(const Key& key, std::array<uint64_t, 8>* words);
   static long long SumCells(const CounterCells& cells);
   static void BumpCell(CounterCells& cells, long long delta);
 
   Stripe& StripeFor(const Key& key) { return stripes_[KeyHash{}(key) % kStripes]; }
   const Stripe& StripeFor(const Key& key) const { return stripes_[KeyHash{}(key) % kStripes]; }
 
-  std::optional<Hit> ProbeReadTable(const Key& key, uint32_t shard) const;
-  ReadSlot* EnsureReadTable();
-  void InsertReadTable(const Key& key, double p_value, uint32_t shard);
-
   size_t max_entries_ = 0;
   std::array<Stripe, kStripes> stripes_;
-  mutable std::atomic<ReadSlot*> read_table_{nullptr};
-  std::unique_ptr<ReadSlot[]> read_table_storage_;
-  // Indices of the read-table slots filled since the last Clear, so Clear
-  // resets only those. A slot leaves the empty state at most once between
-  // two Clears (by the claiming CAS), so the list never outgrows the table.
-  std::unique_ptr<uint32_t[]> filled_slots_;
-  std::atomic<uint32_t> num_filled_{0};
-  std::mutex read_init_mu_;
   mutable CounterCells hit_cells_;
   mutable CounterCells lookup_cells_;
   mutable CounterCells cross_cells_;
@@ -223,11 +175,7 @@ class CachedCITest : public CITest {
  public:
   CachedCITest(const CITest& inner, CICache* cache, uint64_t n_rows,
                uint64_t table_tag = 0, uint32_t shard = 0)
-      : inner_(inner), cache_(cache), n_rows_(n_rows), table_tag_(table_tag), shard_(shard) {
-    if (cache_ != nullptr) {
-      cache_->ReserveReadTable();
-    }
-  }
+      : inner_(inner), cache_(cache), n_rows_(n_rows), table_tag_(table_tag), shard_(shard) {}
 
   double PValue(int x, int y, const std::vector<int>& s) const override;
 

@@ -27,8 +27,12 @@ SimulatedDeviceBackend::SimulatedDeviceBackend(PerformanceTask task, DeviceProfi
 MeasureOutcome SimulatedDeviceBackend::Measure(const std::vector<double>& config, int attempt) {
   // One deterministic stream per (device, config, attempt): thread
   // interleaving cannot change which attempts fail or how long they take.
+  // The seed is mixed before the attempt joins it: a raw `seed ^ attempt`
+  // gives consecutive device seeds the same stream on different attempts
+  // (1000 ^ 3 == 1001 ^ 2), so a retry rerouted to a sibling device would
+  // repeat the failure it is retrying.
   const uint64_t stream =
-      HashDoubles(config, Mix64(profile_.seed ^ static_cast<uint64_t>(attempt)));
+      HashDoubles(config, Mix64(Mix64(profile_.seed) ^ static_cast<uint64_t>(attempt)));
 
   const double jitter_draw = 2.0 * UnitDraw(stream) - 1.0;  // [-1, 1)
   const double service_seconds = std::max(

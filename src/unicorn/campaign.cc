@@ -140,7 +140,6 @@ ShardPoolOptions CampaignRunner::MakePoolOptions(const CampaignOptions& options)
   pool.model = options.model;
   pool.engine = options.engine;
   pool.refresh_threads = options.refresh_threads;
-  pool.share_ci_cache = options.share_ci_cache;
   return pool;
 }
 

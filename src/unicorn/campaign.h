@@ -216,9 +216,6 @@ struct CampaignOptions {
   /// ShardPoolOptions::refresh_threads). 1 = serial; results bit-identical
   /// for any value.
   int refresh_threads = 1;
-  /// One process-wide CI cache across all shards (cross-shard p-value
-  /// reuse); see ShardPoolOptions::share_ci_cache.
-  bool share_ci_cache = true;
   /// RunAsyncGrouped engine. true (default): the pipelined campaign
   /// scheduler — shard refreshes run asynchronously on the pool's refresh
   /// workers and dirty shards of different policies coalesce into one

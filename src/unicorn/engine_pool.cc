@@ -32,12 +32,17 @@ const PoolMetrics& Metrics() {
   return metrics;
 }
 
+// Entry budget of the shared cache before coarse eviction kicks in
+// (~80 bytes/entry, so this bounds it near 20 MB). Entries are pure
+// memoization, so eviction costs re-evaluation, never correctness.
+constexpr size_t kSharedCacheEntries = size_t{1} << 18;
+
 }  // namespace
 
 EngineShardPool::EngineShardPool(std::vector<Variable> variables, ShardPoolOptions options)
     : variables_(std::move(variables)),
       options_(std::move(options)),
-      shared_cache_(options_.shared_cache_entries) {
+      shared_cache_(kSharedCacheEntries) {
   if (options_.refresh_threads > 1) {
     ThreadPool::Options pool_options;
     pool_options.num_threads = options_.refresh_threads;
@@ -58,7 +63,7 @@ size_t EngineShardPool::ShardForGroup(const std::string& group) {
   // its engine-private cache (cleared whenever its table grows — the
   // pre-sharding working-set behavior), because with nobody to share with
   // the process-wide cache would only accumulate unreachable entries.
-  if (options_.share_ci_cache && shards_.size() >= 2) {
+  if (shards_.size() >= 2) {
     shards_.back()->ShareCICache(&shared_cache_, static_cast<uint32_t>(index));
     if (shards_.size() == 2) {
       shards_.front()->ShareCICache(&shared_cache_, 0);

@@ -51,17 +51,10 @@ struct ShardPoolOptions {
   // Worker threads for parallel shard refreshes (1 = refresh dirty shards
   // one after another). Results are bit-identical for any value.
   int refresh_threads = 1;
-  // All shards consult one process-wide CI cache (fingerprint-keyed; see
-  // stats/ci_cache.h). Sharing engages lazily from the second shard on — a
-  // single-shard pool keeps the engine-private cache and its clear-on-growth
-  // working-set behavior, since there is nobody to share with. Off = every
-  // shard keeps its private cache and the cross-shard counters stay zero.
-  bool share_ci_cache = true;
-  // Entry budget of the shared cache before coarse eviction kicks in
-  // (~80 bytes/entry, so the default bounds it near 20 MB). Entries are
-  // pure memoization, so eviction costs re-evaluation, never correctness.
-  // Only meaningful with share_ci_cache.
-  size_t shared_cache_entries = 1 << 18;
+  // From the second shard on, all shards consult one process-wide CI cache
+  // (fingerprint-keyed; see stats/ci_cache.h). A single-shard pool keeps the
+  // engine-private cache and its clear-on-growth working-set behavior, since
+  // there is nobody to share with.
 };
 
 // Fleet-style aggregate over every shard's EngineStats, plus the pool-level

@@ -82,6 +82,28 @@ TEST(BackendFleetTest, DeviceFailureInjectionIsDeterministic) {
   }
 }
 
+// Devices with consecutive seeds must draw independent failures on every
+// attempt: a rerouted retry lands on a sibling device with a different
+// attempt number, and if (seed 1000, attempt 3) drew the same stream as
+// (seed 1001, attempt 2) the retry would repeat the failure it retries.
+TEST(BackendFleetTest, ConsecutiveDeviceSeedsDrawIndependentAttempts) {
+  const Scenario s = MakeScenario(13);
+  DeviceProfile profile;
+  profile.transient_failure_rate = 0.5;
+  profile.seed = 1000;
+  SimulatedDeviceBackend first(s.task, profile);
+  profile.seed = 1001;
+  SimulatedDeviceBackend second(s.task, profile);
+  const auto configs = SampleBatch(s.task, 200, 14);
+  size_t agree = 0;
+  for (const auto& config : configs) {
+    if (first.Measure(config, 3).status == second.Measure(config, 2).status) {
+      ++agree;
+    }
+  }
+  EXPECT_LT(agree, configs.size());
+}
+
 TEST(BackendFleetTest, FleetMatchesSerialBrokerRowForRow) {
   const Scenario s = MakeScenario(21);
   const auto configs = SampleBatch(s.task, 40, 22);

@@ -240,8 +240,10 @@ DebugOptions PoolDebugOptions() {
 
 // The acceptance pin: a single-group campaign through the sharded runner is
 // bit-identical (graph + stats + trajectory) whatever the pool's refresh
-// thread count, the engine's skeleton thread count, or whether the CI cache
-// is shared — sharding must be invisible until a second group exists.
+// thread count or the engine's skeleton thread count, and whether its shard
+// consults the shared CI cache (a named group next to the default shard) or
+// keeps the engine-private one (a plain single-shard Run) — sharing the
+// cache must never change what a campaign computes.
 TEST(EnginePoolTest, SingleGroupCampaignBitIdenticalAcrossPoolConfigurations) {
   SystemSpec spec;
   spec.num_events = 10;
@@ -262,7 +264,7 @@ TEST(EnginePoolTest, SingleGroupCampaignBitIdenticalAcrossPoolConfigurations) {
   struct Config {
     int refresh_threads;
     int engine_threads;
-    bool share_ci_cache;
+    bool grouped;  // false: plain Run, one shard with its private cache
   };
   DebugResult results[4];
   size_t i = 0;
@@ -272,10 +274,15 @@ TEST(EnginePoolTest, SingleGroupCampaignBitIdenticalAcrossPoolConfigurations) {
     options.engine.num_threads = config.engine_threads;
     CampaignOptions campaign = ToCampaignOptions(options);
     campaign.refresh_threads = config.refresh_threads;
-    campaign.share_ci_cache = config.share_ci_cache;
     CampaignRunner runner(task, campaign);
     DebugPolicy policy(options, fault->config, goals);
-    runner.RunGrouped({GroupedPolicy{&policy, "only-group"}});
+    if (config.grouped) {
+      runner.RunGrouped({GroupedPolicy{&policy, "only-group"}});
+    } else {
+      runner.Run({&policy});
+      EXPECT_EQ(runner.pool().num_shards(), 1u);
+      EXPECT_EQ(runner.pool().stats().cross_shard_hits, 0);
+    }
     results[i] = policy.TakeResult();
     if (i == 0) {
       EXPECT_EQ(runner.pool().num_shards(), 2u);  // default shard + "only-group"

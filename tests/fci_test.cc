@@ -327,10 +327,9 @@ TEST(CICacheTest, KeyNormalizationAndCounters) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-// Clear resets only the read-table slots filled since the previous Clear;
-// every entry must still be gone from all tiers, across repeated cycles and
-// after the read table overflowed into displacements.
-TEST(CICacheTest, ClearEmptiesReadTableAcrossCycles) {
+// Clear empties every stripe: each entry stored before it must be gone,
+// across repeated fill/clear cycles of very different sizes.
+TEST(CICacheTest, ClearEmptiesEveryStripeAcrossCycles) {
   CICache cache;
   for (const int keys : {300, 40000, 5, 0, 1200}) {
     for (int k = 0; k < keys; ++k) {

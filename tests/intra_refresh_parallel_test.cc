@@ -240,10 +240,10 @@ TEST(IntraRefreshParallelTest, EngineRefreshBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// TSan target: eight threads hammer the lock-free read path while storing
-// private keys straight into the cache, with a ninth writer mutating the
-// shared stripes throughout.
-TEST(IntraRefreshParallelTest, ConcurrentFastPathReadHammer) {
+// TSan target for the cache's one lookup/store path: eight threads look up
+// shared keys while storing private keys straight into the cache, with a
+// ninth writer re-storing the shared keys throughout.
+TEST(IntraRefreshParallelTest, ConcurrentLookupStoreHammer) {
   CICache cache;
   constexpr int kSharedKeys = 64;
   std::vector<CICache::Key> keys;
@@ -266,7 +266,7 @@ TEST(IntraRefreshParallelTest, ConcurrentFastPathReadHammer) {
           if (hit.has_value()) {
             ++local_found;
             if (hit->p_value != 1e-3 * k) {
-              ok.store(false);  // torn or misattributed value
+              ok.store(false);  // wrong value served
             }
           }
         }
@@ -281,7 +281,7 @@ TEST(IntraRefreshParallelTest, ConcurrentFastPathReadHammer) {
       found[t] = local_found;
     });
   }
-  // Shared-stripe writer racing the read fast path.
+  // Shared-stripe writer racing the lookups.
   std::thread writer([&] {
     for (int iter = 0; iter < kIters; ++iter) {
       for (int k = 0; k < kSharedKeys; k += 3) {
