@@ -5,12 +5,12 @@
 // Sections:
 //   (a) pipeline vs barrier — a mixed 16-tenant campaign (4 heavy-refresh
 //       DebugPolicys + 12 light, high-cadence OptimizePolicys, one objective
-//       group each) over 4 sleeping simulated devices. The barrier loop
-//       (pipeline=false, the pre-pipeline RunAsyncGrouped) refreshes inline
-//       on the campaign thread, so every light policy's absorb-and-resubmit
+//       group each) over 4 sleeping simulated devices. With pipeline=false
+//       RunAsyncGrouped refreshes inline on the campaign thread (the
+//       barrier baseline), so every light policy's absorb-and-resubmit
 //       stalls behind whichever heavy refresh is running and the fleet
-//       starves; the pipelined scheduler hands refreshes to the pool's
-//       workers and keeps the fleet fed. On a single-core host the refresh
+//       starves; with pipeline=true the same loop hands refreshes to the
+//       pool's workers and keeps the fleet fed. On a single-core host the refresh
 //       CPU is identical either way — the speedup is pure overlap, and the
 //       pool's ledger (overlap_seconds, widest_cross_policy_batch) shows it.
 //       The bench SELF-VERIFIES bit-identity: every run's per-shard table
@@ -167,7 +167,7 @@ Setup MakeSetup(bool smoke) {
 
 // Heavy tenants: refresh every round, and every refresh is expensive —
 // generous bootstrap and search knobs so one refresh takes long enough to
-// starve the barrier loop's fleet.
+// starve the barrier run's fleet.
 DebugOptions HeavyOptions(bool smoke, size_t index) {
   DebugOptions options;
   // The refresh-cost lever is per-test row work (big bootstrap table, deep
@@ -200,7 +200,7 @@ OptimizeOptions LightOptions(bool smoke, size_t index) {
   OptimizeOptions options;
   options.initial_samples = smoke ? 8 : 4;
   // Single-candidate rounds at a short service time: the scheduler-relevant
-  // regime — little in-flight work for the barrier loop's inline refreshes
+  // regime — little in-flight work for the barrier run's inline refreshes
   // to hide behind, so the baseline pays nearly the full stall, while the
   // pipelined scheduler keeps the fleet fed from the other tenants.
   options.candidates_per_round = smoke ? 4 : 1;
@@ -486,7 +486,7 @@ int RunStudy(bool smoke, const std::string& json_path, const std::string& trace_
                 pipelined_ok ? "yes" : "NO (bug)"});
   std::printf("%s", table.Render().c_str());
   std::printf("(single-core reading: refresh CPU is identical in both runs; the pipelined\n"
-              " win is fleet time the barrier loop wasted — light tenants stall behind\n"
+              " win is fleet time the barrier run wasted — light tenants stall behind\n"
               " heavy inline refreshes there, while the scheduler keeps them measuring.\n"
               " overlap fraction: %.0f%% of refresh wall ran with measurements in flight)\n",
               100.0 * overlap_fraction);

@@ -35,6 +35,26 @@ const CampaignMetrics& Metrics() {
   return metrics;
 }
 
+// The policy's routing tags for the proposal it just returned, held to the
+// CampaignPolicy contract (empty, or one tag per proposed configuration).
+std::vector<std::string> CheckedEnvironments(CampaignPolicy& policy, size_t proposal_size) {
+  std::vector<std::string> envs = policy.ProposalEnvironments(proposal_size);
+  if (!envs.empty() && envs.size() != proposal_size) {
+    throw std::logic_error("campaign: ProposalEnvironments must parallel the proposal");
+  }
+  return envs;
+}
+
+// The plain Run/RunAsync overloads: every policy in the default group.
+std::vector<GroupedPolicy> InDefaultGroup(const std::vector<CampaignPolicy*>& policies) {
+  std::vector<GroupedPolicy> grouped;
+  grouped.reserve(policies.size());
+  for (CampaignPolicy* policy : policies) {
+    grouped.push_back(GroupedPolicy{policy, ""});
+  }
+  return grouped;
+}
+
 }  // namespace
 
 bool GoalsMet(const std::vector<double>& row, const std::vector<ObjectiveGoal>& goals) {
@@ -172,12 +192,7 @@ std::vector<std::vector<double>> CampaignRunner::MeasureUniform(size_t count, Rn
 }
 
 void CampaignRunner::Run(const std::vector<CampaignPolicy*>& policies) {
-  std::vector<GroupedPolicy> grouped;
-  grouped.reserve(policies.size());
-  for (CampaignPolicy* policy : policies) {
-    grouped.push_back(GroupedPolicy{policy, ""});
-  }
-  RunGrouped(grouped);
+  RunGrouped(InDefaultGroup(policies));
 }
 
 void CampaignRunner::RunGrouped(const std::vector<GroupedPolicy>& policies) {
@@ -229,10 +244,7 @@ void CampaignRunner::RunGrouped(const std::vector<GroupedPolicy>& policies) {
       proposals.push_back(policies[p].policy->Propose(ctx));
       combined.insert(combined.end(), proposals.back().begin(), proposals.back().end());
       std::vector<std::string> envs =
-          policies[p].policy->ProposalEnvironments(proposals.back().size());
-      if (!envs.empty() && envs.size() != proposals.back().size()) {
-        throw std::logic_error("campaign: ProposalEnvironments must parallel the proposal");
-      }
+          CheckedEnvironments(*policies[p].policy, proposals.back().size());
       if (envs.empty()) {
         combined_envs.resize(combined_envs.size() + proposals.back().size());
       } else {
@@ -287,153 +299,21 @@ void CampaignRunner::RunGrouped(const std::vector<GroupedPolicy>& policies) {
 }
 
 void CampaignRunner::RunAsync(const std::vector<CampaignPolicy*>& policies) {
-  std::vector<GroupedPolicy> grouped;
-  grouped.reserve(policies.size());
-  for (CampaignPolicy* policy : policies) {
-    grouped.push_back(GroupedPolicy{policy, ""});
-  }
-  RunAsyncGrouped(grouped);
+  RunAsyncGrouped(InDefaultGroup(policies));
 }
 
-void CampaignRunner::RunAsyncGrouped(const std::vector<GroupedPolicy>& policies) {
-  if (options_.pipeline) {
-    RunAsyncGroupedPipelined(policies);
-  } else {
-    RunAsyncGroupedBarrier(policies);
-  }
-}
-
-// The pre-pipeline drain loop: refreshes run inline on the campaign thread,
-// so a completed policy that needs (or follows) a long refresh blocks every
-// other policy's absorb-and-resubmit — head-of-line blocking that starves
-// the fleet. Kept as the measurable baseline for bench/table_pipeline.cc
-// and selectable via CampaignOptions::pipeline = false.
-void CampaignRunner::RunAsyncGroupedBarrier(const std::vector<GroupedPolicy>& policies) {
-  // Per-policy pipeline state: each policy is always either retired or
-  // waiting on exactly one outstanding broker batch.
-  struct PolicyState {
-    CampaignPolicy* policy = nullptr;
-    size_t shard = 0;
-    size_t round = 0;
-    std::vector<std::vector<double>> proposal;
-    std::vector<std::vector<double>> rows;
-    size_t received = 0;
-    SchedClock::time_point round_start{};
-  };
-  std::vector<PolicyState> states;
-  std::unordered_map<uint64_t, size_t> batch_owner;  // broker batch id -> state
-  size_t active = 0;
-
-  // Refresh (the policy's own shard, per-policy round, same seed stream as
-  // Run), propose, submit. Returns false when the policy retired instead of
-  // launching a round.
-  const auto launch_round = [&](size_t state_index) {
-    PolicyState& state = states[state_index];
-    state.round_start = SchedClock::now();
-    CampaignContext ctx = ContextFor(state.shard, state.round);
-    if (state.policy->WantsRefresh(ctx)) {
-      // Single-shard batch: the empty-table guard and the refresh ledger
-      // live in the pool.
-      pool_.RefreshShards({state.shard}, RefreshSeed(state.round));
-    }
-    state.proposal = state.policy->Propose(ctx);
-    if (state.proposal.empty()) {
-      // A policy proposing nothing can never finish itself (same guard as
-      // the synchronous loop).
-      state.policy->Finalize(ctx);
-      return false;
-    }
-    std::vector<std::string> envs = state.policy->ProposalEnvironments(state.proposal.size());
-    if (!envs.empty() && envs.size() != state.proposal.size()) {
-      throw std::logic_error("campaign: ProposalEnvironments must parallel the proposal");
-    }
-    state.rows.assign(state.proposal.size(), {});
-    state.received = 0;
-    const BatchTicket ticket = broker_.SubmitBatch(state.proposal, envs);
-    batch_owner.emplace(ticket.id, state_index);
-    return true;
-  };
-
-  states.reserve(policies.size());
-  for (const GroupedPolicy& entry : policies) {
-    const size_t shard = pool_.ShardForGroup(entry.group);
-    if (entry.policy->Finished()) {
-      CampaignContext ctx = ContextFor(shard, 0);
-      entry.policy->Finalize(ctx);
-      continue;
-    }
-    states.push_back(PolicyState{entry.policy, shard, 0, {}, {}, 0});
-    if (launch_round(states.size() - 1)) {
-      ++active;
-    }
-  }
-
-  // Drain the completion stream: whichever policy's batch fills first
-  // absorbs first and immediately pipelines its next round — no barrier on
-  // the other policies' in-flight measurements. Completions of batches
-  // someone else submitted through the shared broker are set aside and
-  // requeued for their own consumer once the campaign is done.
-  std::vector<BrokerCompletion> foreign;
-  const auto requeue_foreign = [&] {
-    for (auto it = foreign.rbegin(); it != foreign.rend(); ++it) {
-      broker_.Requeue(std::move(*it));
-    }
-    foreign.clear();
-  };
-  while (active > 0) {
-    BrokerCompletion done;
-    if (!broker_.WaitCompletion(&done)) {
-      requeue_foreign();
-      throw std::runtime_error("async campaign: completion stream ended with active policies");
-    }
-    const auto owner = batch_owner.find(done.batch);
-    if (owner == batch_owner.end()) {
-      foreign.push_back(std::move(done));
-      continue;
-    }
-    if (!done.ok) {
-      requeue_foreign();
-      throw std::runtime_error("async campaign: measurement failed permanently: " + done.error);
-    }
-    PolicyState& state = states[owner->second];
-    state.rows[done.index] = std::move(done.row);
-    if (++state.received < state.proposal.size()) {
-      continue;
-    }
-    const size_t state_index = owner->second;
-    batch_owner.erase(owner);
-
-    CampaignContext ctx = ContextFor(state.shard, state.round);
-    {
-      TRACE_SPAN_NAMED(absorb_span, "campaign.absorb", "campaign");
-      absorb_span.SetArg("round", static_cast<double>(state.round));
-      state.policy->Absorb(state.proposal, state.rows, ctx);
-    }
-    Metrics().rounds->Increment();
-    Metrics().round_seconds->Record(
-        std::chrono::duration<double>(SchedClock::now() - state.round_start).count());
-    if (state.policy->Finished() || state.round + 1 >= options_.max_rounds) {
-      state.policy->Finalize(ctx);
-      --active;
-      continue;
-    }
-    ++state.round;
-    if (!launch_round(state_index)) {
-      --active;
-    }
-  }
-  requeue_foreign();
-}
-
-// The pipelined campaign scheduler (ROADMAP "pipelined campaign rounds"):
-// a ready-set event loop over two completion streams — measurement rows from
-// the broker/fleet and shard-refresh done events from the pool's
-// asynchronous refresh workers. A policy whose next round wants a refresh
+// The asynchronous campaign scheduler: a ready-set event loop over two
+// completion streams — measurement rows from the broker/fleet and
+// shard-refresh done events from the pool's asynchronous refresh workers.
+// With CampaignOptions::pipeline, a policy whose next round wants a refresh
 // hands its shard to the workers and the loop keeps absorbing and
 // resubmitting every other policy meanwhile, so dirty shards of *different*
-// policies refresh as one parallel batch while their own and other policies'
-// measurements keep the fleet busy — refresh compute hidden behind device
-// service time (the overlap the pool's ledger reports).
+// policies refresh as one parallel batch while measurements keep the fleet
+// busy — refresh compute hidden behind device service time (the overlap the
+// pool's ledger reports). Without it, launch_round refreshes inline on this
+// thread: no refresh is ever outstanding, nothing parks, and the loop only
+// drains the row stream — the barrier schedule bench/table_pipeline.cc
+// measures the pipelined one against.
 //
 // Per-policy semantics are exactly the synchronous loop's: refresh decided
 // at round start (WantsRefresh before Propose), seeded RefreshSeed(round)
@@ -441,7 +321,7 @@ void CampaignRunner::RunAsyncGroupedBarrier(const std::vector<GroupedPolicy>& po
 // in distinct objective groups are therefore bit-identical to RunGrouped;
 // same-group interleaving remains completion-order-dependent, as documented
 // on RunAsyncGrouped.
-void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& policies) {
+void CampaignRunner::RunAsyncGrouped(const std::vector<GroupedPolicy>& policies) {
   // Alternation quantum while both streams are live: the timed row-wait
   // returns early on every completion, so this bounds only refresh-done
   // latency. 2ms keeps refresh-chain resubmission prompt (a chained shard
@@ -474,6 +354,8 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
   // the gauge the pool's overlap ledger samples.
   std::atomic<size_t> in_flight_rows{0};
 
+  // Completions of batches someone else submitted through the shared broker
+  // are set aside and handed back to the stream when the loop exits.
   std::vector<BrokerCompletion> foreign;
   const auto requeue_foreign = [&] {
     for (auto it = foreign.rbegin(); it != foreign.rend(); ++it) {
@@ -495,10 +377,8 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
       state.policy->Finalize(ctx);
       return false;
     }
-    std::vector<std::string> envs = state.policy->ProposalEnvironments(state.proposal.size());
-    if (!envs.empty() && envs.size() != state.proposal.size()) {
-      throw std::logic_error("campaign: ProposalEnvironments must parallel the proposal");
-    }
+    const std::vector<std::string> envs =
+        CheckedEnvironments(*state.policy, state.proposal.size());
     state.rows.assign(state.proposal.size(), {});
     state.received = 0;
     const size_t now_in_flight =
@@ -511,14 +391,20 @@ void CampaignRunner::RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& 
   };
 
   // Start the policy's round: same trigger point and seed stream as the
-  // synchronous loop, but the refresh itself runs on the pool's workers —
-  // the Propose happens when its done event comes back. Returns false when
-  // the policy retired.
+  // synchronous loop. Pipelined, the refresh itself runs on the pool's
+  // workers and the Propose happens when its done event comes back;
+  // otherwise it runs inline (a single-shard batch: the empty-table guard
+  // and the refresh ledger live in the pool). Returns false when the policy
+  // retired.
   const auto launch_round = [&](size_t state_index) -> bool {
     PolicyState& state = states[state_index];
     state.round_start = SchedClock::now();
     CampaignContext ctx = ContextFor(state.shard, state.round);
     if (state.policy->WantsRefresh(ctx)) {
+      if (!options_.pipeline) {
+        pool_.RefreshShards({state.shard}, RefreshSeed(state.round));
+        return propose_and_submit(state_index);
+      }
       ++shard_refreshing[state.shard];
       pool_.StartRefreshAsync(state.shard, RefreshSeed(state.round),
                               static_cast<uint64_t>(state_index));

@@ -216,17 +216,17 @@ struct CampaignOptions {
   /// ShardPoolOptions::refresh_threads). 1 = serial; results bit-identical
   /// for any value.
   int refresh_threads = 1;
-  /// RunAsyncGrouped engine. true (default): the pipelined campaign
-  /// scheduler — shard refreshes run asynchronously on the pool's refresh
-  /// workers and dirty shards of different policies coalesce into one
-  /// parallel refresh batch, so another policy's absorb/propose/submit is
-  /// never stuck behind a refresh it does not need (its measurements keep
-  /// the fleet busy while refresh compute runs). false: the drain loop that
-  /// refreshes inline on the campaign thread, kept as the measurable
-  /// baseline (bench/table_pipeline.cc compares the two). Per-policy
-  /// results are bit-identical either way — same refresh-seed stream, same
-  /// refresh trigger points, same rows in the same order (pinned by
-  /// tests/pipeline_scheduler_test.cc).
+  /// How RunAsyncGrouped refreshes a policy's shard. true (default): on the
+  /// pool's asynchronous refresh workers — dirty shards of different
+  /// policies coalesce into one parallel refresh batch, so another policy's
+  /// absorb/propose/submit is never stuck behind a refresh it does not need
+  /// (its measurements keep the fleet busy while refresh compute runs).
+  /// false: inline on the campaign thread, which blocks every other policy
+  /// for the refresh's duration — the baseline bench/table_pipeline.cc
+  /// measures the pipelined setting against. It is the same loop either
+  /// way, and per-policy results are bit-identical — same refresh-seed
+  /// stream, same refresh trigger points, same rows in the same order
+  /// (pinned by tests/pipeline_scheduler_test.cc).
   bool pipeline = true;
 };
 
@@ -285,16 +285,18 @@ class CampaignRunner {
   /// timing-dependent — results stay valid but are not run-to-run
   /// deterministic.
   ///
-  /// With CampaignOptions::pipeline (the default) this runs the pipelined
-  /// campaign scheduler: completions stream in and are absorbed the moment
-  /// a policy's batch fills; a policy whose next round wants a refresh
-  /// hands its shard to the pool's asynchronous refresh workers and the
-  /// scheduler keeps servicing every other policy meanwhile — dirty shards
-  /// of different policies refresh as one parallel batch, hidden behind
-  /// the fleet's device service time (ShardPoolStats::overlap_seconds /
-  /// widest_cross_policy_batch report how well).
-  /// Failure: as Run; a permanently failed measurement throws (outstanding
-  /// asynchronous refreshes are drained before the exception leaves).
+  /// With CampaignOptions::pipeline (the default) a policy whose next
+  /// round wants a refresh hands its shard to the pool's asynchronous
+  /// refresh workers and the scheduler keeps servicing every other policy
+  /// meanwhile — dirty shards of different policies refresh as one parallel
+  /// batch, hidden behind the fleet's device service time
+  /// (ShardPoolStats::overlap_seconds / widest_cross_policy_batch report
+  /// how well). Without it the same loop refreshes inline, and nothing else
+  /// moves until the refresh is done.
+  /// Failure: as Run; a permanently failed measurement or a policy
+  /// exception throws. Before the exception leaves, outstanding
+  /// asynchronous refreshes are drained and completions of batches the
+  /// campaign did not submit are handed back to the broker's stream.
   void RunAsyncGrouped(const std::vector<GroupedPolicy>& policies);
   void RunAsync(const std::vector<CampaignPolicy*>& policies);
 
@@ -323,10 +325,6 @@ class CampaignRunner {
   }
 
   static ShardPoolOptions MakePoolOptions(const CampaignOptions& options);
-
-  // The two RunAsyncGrouped engines (see CampaignOptions::pipeline).
-  void RunAsyncGroupedBarrier(const std::vector<GroupedPolicy>& policies);
-  void RunAsyncGroupedPipelined(const std::vector<GroupedPolicy>& policies);
 
   CampaignOptions options_;
   MeasurementBroker broker_;  // owns the task

@@ -135,9 +135,6 @@ class MeasurementBroker {
                     BrokerOptions options = {});
 
   const PerformanceTask& task() const { return task_; }
-  bool fleet_backed() const { return fleet_ != nullptr; }
-  // Null in pool mode.
-  const BackendFleet* fleet() const { return fleet_.get(); }
 
   // Measures one configuration (a batch of one, through the cache).
   // `environment` non-empty routes it to exactly-matching fleet backends.

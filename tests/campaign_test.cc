@@ -193,7 +193,7 @@ TEST(CampaignTest, MixedDebugAndOptimizePoliciesShareOneCampaign) {
 }
 
 // With a single policy the async runner degenerates to the same
-// refresh/propose/absorb sequence as the barrier loop (one batch in flight
+// refresh/propose/absorb sequence as the synchronous loop (one batch in flight
 // at a time, same per-round refresh seeds), so the results must be
 // bit-identical — the async plumbing cannot leak into the reasoning.
 TEST(CampaignTest, AsyncSinglePolicyMatchesSyncBitForBit) {

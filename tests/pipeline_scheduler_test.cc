@@ -3,9 +3,13 @@
 // bit-identical per policy to the synchronous RunGrouped loop — same graphs,
 // same rows in the same order, same CI-test counts — for any refresh-thread
 // and engine-thread count, with transient backend failures injected, and
-// through the legacy barrier engine too. AbsorbIncremental, the scheduler's
-// absorb contract, must match AddRow-then-Refresh on the same rows.
+// with its refreshes run inline (pipeline = false) too. A policy exception
+// must leave the shared broker and the shard pool clean under either
+// setting. AbsorbIncremental, the scheduler's absorb contract, must match
+// AddRow-then-Refresh on the same rows.
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "eval/harness.h"
 #include "sysmodel/faults.h"
@@ -155,8 +159,8 @@ TEST(PipelineSchedulerTest, PipelinedMatchesSyncAcrossThreadMatrix) {
   }
 }
 
-// The barrier engine (pipeline = false) stays available as the measurable
-// baseline and stays bit-identical too.
+// With pipeline = false the same loop refreshes inline — the measurable
+// baseline of bench/table_pipeline.cc — and stays bit-identical too.
 TEST(PipelineSchedulerTest, BarrierEngineMatchesSync) {
   Scenario s = MakeScenario(SystemId::kXception, 311);
   const GroupedRun oracle =
@@ -262,6 +266,78 @@ TEST(PipelineSchedulerTest, SameGroupPoliciesCompleteOnOneShard) {
   EXPECT_EQ(policy_a.result().shard, policy_b.result().shard);
   EXPECT_EQ(runner.pool().shard(policy_a.result().shard).data().NumRows(),
             policy_a.result().measurements_used + policy_b.result().measurements_used);
+}
+
+struct PolicyFailure : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+// Measures a few uniform configurations in round 0, wants a refresh every
+// round, and throws on its second Propose — after the round-0 drain has
+// already passed over other consumers' completions.
+class ThrowOnSecondProposePolicy : public CampaignPolicy {
+ public:
+  explicit ThrowOnSecondProposePolicy(uint64_t seed) : rng_(seed) {}
+
+  bool WantsRefresh(const CampaignContext&) override { return true; }
+  std::vector<std::vector<double>> Propose(CampaignContext& ctx) override {
+    if (++proposals_ == 2) {
+      throw PolicyFailure("policy failed in round 1");
+    }
+    std::vector<std::vector<double>> configs;
+    for (int i = 0; i < 6; ++i) {
+      configs.push_back(ctx.task.sample_config(&rng_));
+    }
+    return configs;
+  }
+  void Absorb(const std::vector<std::vector<double>>&,
+              const std::vector<std::vector<double>>& rows, CampaignContext& ctx) override {
+    for (const auto& row : rows) {
+      ctx.engine.AddRow(row);
+    }
+  }
+  bool Finished() const override { return false; }
+  void Finalize(CampaignContext&) override {}
+
+ private:
+  Rng rng_;
+  int proposals_ = 0;
+};
+
+// A policy exception leaves the shared broker and the pool as a caller
+// needs them under either refresh setting: the exception propagates, no
+// asynchronous refresh is left outstanding, and every completion of a batch
+// submitted before the campaign is still on the stream for its consumer.
+TEST(PipelineSchedulerTest, PolicyExceptionKeepsForeignCompletionsAndDrainsRefreshes) {
+  SystemSpec spec;
+  spec.num_events = 5;
+  const auto model = std::make_shared<SystemModel>(BuildSystem(SystemId::kX264, spec));
+  const PerformanceTask task = MakeSimulatedTask(model, Tx2(), DefaultWorkload(), 91);
+
+  for (const bool pipeline : {true, false}) {
+    SCOPED_TRACE(pipeline ? "pipeline=true" : "pipeline=false");
+    CampaignOptions campaign;
+    campaign.model = FastDebugOptions().model;
+    campaign.refresh_threads = 2;
+    campaign.pipeline = pipeline;
+    CampaignRunner runner(task, campaign);
+
+    Rng rng(92);
+    const BatchTicket earlier = runner.broker().SubmitBatch(runner.SampleConfigs(5, &rng));
+    ThrowOnSecondProposePolicy policy(93);
+    EXPECT_THROW(runner.RunAsync({&policy}), PolicyFailure);
+    EXPECT_EQ(runner.pool().PendingAsyncRefreshes(), 0u);
+
+    std::vector<int> seen(earlier.size, 0);
+    BrokerCompletion done;
+    while (runner.broker().WaitCompletion(&done)) {
+      ASSERT_EQ(done.batch, earlier.id);
+      ASSERT_TRUE(done.ok);
+      ASSERT_LT(done.index, seen.size());
+      ++seen[done.index];
+    }
+    EXPECT_EQ(seen, std::vector<int>(earlier.size, 1));
+  }
 }
 
 // --- AbsorbIncremental: the scheduler's engine-side contract ---------------
